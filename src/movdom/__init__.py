@@ -11,9 +11,9 @@ from .domination import (
     SOLVER_MAX_ORDER,
     SolverResult,
     ascending_k_subsets,
+    dominating_sets,
     domination_lower_bound,
     gamma,
-    greedy_dominating_set,
     greedy_repair,
     is_dominating,
     sample_dominating_sets,

@@ -20,8 +20,16 @@ import json
 import sys
 from pathlib import Path
 
-from .domination import SolverResult, gamma
-from .graph import Graph, make_family, parse_edge_list, format_edge_list, vertex_list
+from .domination import SolverResult, check_solver_order, gamma
+from .graph import (
+    Graph,
+    format_edge_list,
+    from_edge_list,
+    make_family,
+    parse_edge_list,
+    read_edge_list,
+    vertex_list,
+)
 from .harness import CLAIM_IDS, BudgetConfig, run_all
 from .movable import ReplacementMode, gamma_m1, gamma_m2
 from .products import corona, join
@@ -71,7 +79,12 @@ def _json_out(payload: dict) -> None:
 
 def _cmd_compute(args) -> int:
     try:
-        g = parse_family_spec(args.family) if args.family else _read_graph_file(args.input)
+        if args.family:
+            g = parse_family_spec(args.family)
+        else:
+            n, edges = read_edge_list(Path(args.input).read_text(encoding="ascii"))
+            check_solver_order(n)  # before from_edge_list sizes anything by n
+            g = from_edge_list(n, edges)
         mode = ReplacementMode(args.mode)
         if args.which == "gamma":
             result = gamma(g)

@@ -1,9 +1,10 @@
 """The dominating-set predicate, the exact minimum solver, and samplers.
 
-The exact solver enumerates candidate sets by ascending cardinality and,
-within a cardinality, by ascending bitmask, so the reported witness is
-always the numerically least optimal set.  A greedy cover gives the
-upper bound that caps the search.
+The exact solvers iterate ``dominating_sets``: every dominating set by
+ascending cardinality and, within a cardinality, by ascending bitmask, so
+the reported witness is always the numerically least optimal set.  The
+generator prunes branches that cannot reach domination, so no set that
+fails to dominate reaches a caller.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ class SolverResult:
         return self.value is not None
 
 
-def check_solver_order(g: Graph) -> None:
-    if g.n > SOLVER_MAX_ORDER:
+def check_solver_order(n: int) -> None:
+    """Reject an order above the exact solvers' cap (before any graph is built)."""
+    if n > SOLVER_MAX_ORDER:
         raise ValueError(
-            f"graph has {g.n} vertices; the exact solvers are capped at "
+            f"graph has {n} vertices; the exact solvers are capped at "
             f"{SOLVER_MAX_ORDER} to keep runtimes bounded"
         )
 
@@ -68,44 +70,71 @@ def ascending_k_subsets(n: int, k: int) -> Iterator[VertexSet]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def greedy_dominating_set(g: Graph) -> VertexSet:
-    """Greedy cover: repeatedly take the vertex covering most uncovered vertices.
-
-    Ties break toward the lowest index.  Used as a search upper bound; the
-    result always dominates but need not be minimum.
-    """
-    chosen = 0
-    covered = 0
-    full = g.full_mask
-    while covered != full:
-        best_v = -1
-        best_gain = 0
-        for v in range(g.n):
-            if chosen >> v & 1:
-                continue
-            gain = ((g.adj[v] | 1 << v) & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        chosen |= 1 << best_v
-        covered |= g.adj[best_v] | 1 << best_v
-    return chosen
-
-
 def domination_lower_bound(g: Graph) -> int:
     """ceil(n / (1 + max degree)): every chosen vertex covers at most 1+maxdeg."""
     maxdeg = max(m.bit_count() for m in g.adj)
     return -(-g.n // (1 + maxdeg))
 
 
+def dominating_sets(g: Graph, smallest: int) -> Iterator[VertexSet]:
+    """Every dominating set with at least ``smallest`` members.
+
+    Sets come by ascending cardinality and, within one, by ascending
+    bitmask: the same order as filtering ``ascending_k_subsets``.  Members
+    are picked from the highest index down, with the covered mask carried
+    along.  A branch is cut when some uncovered vertex has its whole closed
+    neighbourhood at or above the last pick, or when the picks left, each
+    covering at most the largest closed degree below the last pick, cannot
+    cover what is left.  The tables live only for this call: kept on every
+    ``Graph`` they would outlive the search.
+    """
+    n, full = g.n, g.full_mask
+    closed = [g.adj[v] | 1 << v for v in range(n)]
+    # stuck[t]: vertices whose closed neighbourhood lies wholly at or above t.
+    # most[t]: the largest closed-neighbourhood size among vertices below t.
+    stuck = [0] * (n + 1)
+    most = [0] * (n + 1)
+    for u in range(n):
+        stuck[(closed[u] & -closed[u]).bit_length() - 1] |= 1 << u
+        most[u + 1] = max(most[u], closed[u].bit_count())
+    for t in range(n - 1, -1, -1):
+        stuck[t] |= stuck[t + 1]
+
+    for k in range(max(smallest, 1), n + 1):
+        yield from _dominating_below(closed, stuck, most, full, 0, 0, n, k)
+
+
+def _dominating_below(
+    closed: list[VertexSet],
+    stuck: list[VertexSet],
+    most: list[int],
+    full: VertexSet,
+    chosen: VertexSet,
+    covered: VertexSet,
+    top: int,
+    left: int,
+) -> Iterator[VertexSet]:
+    # Add ``left`` more members, all below index ``top``.  Module-level, not
+    # a closure: a recursive closure is a reference cycle, so its tables would
+    # wait for the cyclic collector after every solver call.
+    if left == 1:
+        for v in range(top):
+            if covered | closed[v] == full:
+                yield chosen | 1 << v
+        return
+    for v in range(left - 1, top):
+        now = covered | closed[v]
+        missing = full & ~now
+        if missing & stuck[v] or (left - 1) * most[v] < missing.bit_count():
+            continue
+        yield from _dominating_below(closed, stuck, most, full, chosen | 1 << v, now, v, left - 1)
+
+
 def gamma(g: Graph) -> SolverResult:
     """Exact domination number with the lex-least optimal witness."""
-    check_solver_order(g)
-    upper = greedy_dominating_set(g).bit_count()
-    for k in range(domination_lower_bound(g), upper + 1):
-        for mask in ascending_k_subsets(g.n, k):
-            if is_dominating(g, mask):
-                return SolverResult(k, mask)
-    raise AssertionError("greedy cover guarantees a dominating set exists")
+    check_solver_order(g.n)
+    mask = next(dominating_sets(g, domination_lower_bound(g)))
+    return SolverResult(mask.bit_count(), mask)
 
 
 def greedy_repair(g: Graph, seed_set: VertexSet) -> VertexSet:

@@ -289,14 +289,15 @@ def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format.
+def read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Read the edge-list text format into its vertex count and edge pairs.
 
     Grammar: ASCII text; lines whose first character is '#' are comments;
     blank (empty or whitespace-only) lines are ignored; the first
     significant line is a single integer vertex count; every following
     significant line is exactly two integers "u v".  Anything else is
-    rejected.
+    rejected.  Nothing is sized by the vertex count yet, so a caller can
+    refuse a huge header before ``from_edge_list`` allocates for it.
     """
     if not text.isascii():
         raise ValueError("edge list must be ASCII")
@@ -318,7 +319,12 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((int(tokens[0]), int(tokens[1])))
     if n is None:
         raise ValueError("missing vertex-count header line")
-    return from_edge_list(n, edges)
+    return n, edges
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list text format (see ``read_edge_list``) into a graph."""
+    return from_edge_list(*read_edge_list(text))
 
 
 def format_edge_list(g: Graph) -> str:

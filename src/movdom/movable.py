@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .domination import SolverResult, ascending_k_subsets, check_solver_order, gamma, is_dominating
+from .domination import (
+    SolverResult,
+    check_solver_order,
+    domination_lower_bound,
+    dominating_sets,
+    is_dominating,
+)
 from .graph import Graph, VertexSet, bits, check_vertex_set, vertex_list
 
 
@@ -177,32 +183,27 @@ def is_2movable_dominating(
 
 def gamma_m1(g: Graph) -> SolverResult:
     """Exact 1-movable domination number, or absence when no set qualifies."""
-    check_solver_order(g)
-    base = gamma(g).value
-    assert base is not None
-    for k in range(base, g.n + 1):
-        for mask in ascending_k_subsets(g.n, k):
-            cert = is_1movable_dominating(g, mask)
-            if cert:
-                return SolverResult(k, mask, cert)
+    check_solver_order(g.n)
+    for mask in dominating_sets(g, domination_lower_bound(g)):
+        cert = is_1movable_dominating(g, mask)
+        if cert:
+            return SolverResult(mask.bit_count(), mask, cert)
     return SolverResult(None, None)
 
 
 def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> SolverResult:
     """Exact 2-movable domination number under the given replacement mode.
 
-    Searches every cardinality from max(2, domination number) up to n:
-    2-movability is not closed under supersets, so no cardinality can be
-    skipped once one fails.  Returns absence when none qualifies.
+    Checks every dominating set with at least two members, smallest
+    first, up to the whole vertex set: 2-movability is not closed under
+    supersets, so no cardinality can be skipped once one fails.  Returns
+    absence when none qualifies.
     """
-    check_solver_order(g)
-    base = gamma(g).value
-    assert base is not None
-    for k in range(max(2, base), g.n + 1):
-        for mask in ascending_k_subsets(g.n, k):
-            cert = is_2movable_dominating(g, mask, mode)
-            if cert:
-                return SolverResult(k, mask, cert)
+    check_solver_order(g.n)
+    for mask in dominating_sets(g, max(2, domination_lower_bound(g))):
+        cert = is_2movable_dominating(g, mask, mode)
+        if cert:
+            return SolverResult(mask.bit_count(), mask, cert)
     return SolverResult(None, None)
 
 

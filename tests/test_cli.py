@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import movdom.harness
 from movdom import SolverResult, format_edge_list, mask_of, path
@@ -86,6 +87,19 @@ class TestCompute:
         assert code == 1
         assert "capped" in err
 
+    def test_huge_header_rejected_before_allocation(self, capsys, tmp_path):
+        target = tmp_path / "huge.edges"
+        target.write_text("10000000\n0 1\n", encoding="ascii")
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(["compute", "gamma", "--input", str(target)], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "capped" in err
+        assert peak < 5_000_000  # building the graph would take over 150 MB
+
     def test_source_flags_are_exclusive(self, capsys, tmp_path):
         code, _, _ = run_cli(
             ["compute", "gamma", "--family", "path:4", "--input", str(tmp_path / "x")],
@@ -158,6 +172,22 @@ class TestBuild:
         )
         assert code == 0
         assert out_file.exists()
+
+    def test_build_accepts_orders_above_solver_cap(self, capsys, tmp_path):
+        target = tmp_path / "p30.edges"
+        target.write_text(format_edge_list(path(30)), encoding="ascii")
+        code, out, _ = run_cli(
+            [
+                "build", "join",
+                "--left", str(target),
+                "--right", "family:path:2",
+                "--output", str(tmp_path / "j.edges"),
+                "--json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["n"] == 32
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -2,17 +2,18 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import naive
 from movdom import (
     ascending_k_subsets,
     complete,
     cycle,
+    dominating_sets,
     domination_lower_bound,
     enumerate_connected_graphs,
     gamma,
-    greedy_dominating_set,
+    greedy_repair,
     is_dominating,
     mask_of,
     path,
@@ -100,11 +101,27 @@ class TestGamma:
 
     @given(graphs())
     def test_greedy_never_beats_exact(self, g):
-        assert gamma(g).value <= greedy_dominating_set(g).bit_count()
+        assert gamma(g).value <= greedy_repair(g, 0).bit_count()
 
     @given(graphs())
     def test_lower_bound_is_sound(self, g):
         assert domination_lower_bound(g) <= gamma(g).value
+
+
+class TestDominatingSets:
+    @settings(max_examples=100)
+    @given(graphs(max_n=9))
+    def test_matches_filtered_subset_scan(self, g):
+        view = _view(g)
+        every = [
+            mask
+            for k in range(g.n + 1)
+            for mask in ascending_k_subsets(g.n, k)
+            if naive.dominates(view, vertex_list(mask))
+        ]
+        for smallest in range(g.n + 2):
+            expected = [mask for mask in every if mask.bit_count() >= smallest]
+            assert list(dominating_sets(g, smallest)) == expected
 
 
 class TestSampler:

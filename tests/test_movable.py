@@ -176,6 +176,24 @@ class TestSolvers:
             if distinct.exists:
                 assert gamma_m2(g, LITERAL).value <= distinct.value
 
+    @settings(max_examples=100)
+    @given(graphs(max_n=9))
+    def test_solvers_match_naive(self, g):
+        # the witness pins the numerically-least-witness contract too
+        view = _view(g)
+
+        def summary(result):
+            return (result.value, vertex_list(result.witness) if result.exists else None)
+
+        def oracle(value, witness):
+            return (value, None if witness is None else list(witness))
+
+        assert summary(gamma(g)) == oracle(*naive.naive_gamma(view))
+        assert summary(gamma_m1(g)) == oracle(*naive.naive_gamma_m1(view))
+        for mode in (LITERAL, DISTINCT):
+            expected = oracle(*naive.naive_gamma_m2(view, mode is DISTINCT))
+            assert summary(gamma_m2(g, mode)) == expected, mode
+
     def test_solver_results_reverify(self):
         for g in enumerate_connected_graphs(4):
             m1 = gamma_m1(g)
