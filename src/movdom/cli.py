@@ -22,7 +22,9 @@ from pathlib import Path
 
 from .domination import SolverResult, check_solver_order, gamma
 from .graph import (
+    ENUMERATION_MAX_ORDER,
     Graph,
+    family_order,
     format_edge_list,
     from_edge_list,
     make_family,
@@ -50,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def parse_family_spec(spec: str) -> Graph:
-    """Parse "name:params" into a family graph."""
+def _family_spec(spec: str) -> tuple[str, list[int]]:
+    """Split "name:params" into the family name and its integer parameters."""
     parts = spec.split(":")
     name, raw_params = parts[0], parts[1:]
     if not raw_params:
@@ -60,6 +62,12 @@ def parse_family_spec(spec: str) -> Graph:
         params = [int(p) for p in raw_params]
     except ValueError:
         raise ValueError(f"family spec {spec!r} has non-integer parameters") from None
+    return name, params
+
+
+def parse_family_spec(spec: str) -> Graph:
+    """Parse "name:params" into a family graph."""
+    name, params = _family_spec(spec)
     return make_family(name, *params)
 
 
@@ -80,7 +88,9 @@ def _json_out(payload: dict) -> None:
 def _cmd_compute(args) -> int:
     try:
         if args.family:
-            g = parse_family_spec(args.family)
+            name, params = _family_spec(args.family)
+            check_solver_order(family_order(name, *params))  # before the graph is built
+            g = make_family(name, *params)
         else:
             n, edges = read_edge_list(Path(args.input).read_text(encoding="ascii"))
             check_solver_order(n)  # before from_edge_list sizes anything by n
@@ -196,15 +206,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     samples = args.samples
-    budget = BudgetConfig(
-        max_order=args.max_order,
-        samples=100 if samples is None else samples,
-        movable_samples=50 if samples is None else samples,
-        seed=args.seed,
-    )
-    claims = None if not args.claim else args.claim
     try:
-        reports = run_all(budget, claims)
+        budget = BudgetConfig(
+            max_order=args.max_order,
+            samples=100 if samples is None else samples,
+            movable_samples=50 if samples is None else samples,
+            seed=args.seed,
+        )
+        reports = run_all(budget, args.claim)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -249,14 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="validate the claims on instance pools")
-    p_verify.add_argument("--all", action="store_true", help="run every claim (default)")
     p_verify.add_argument(
         "--claim",
         action="append",
         choices=list(CLAIM_IDS),
-        help="run one claim (repeatable)",
+        help="run one claim (repeatable; default: every claim)",
     )
-    p_verify.add_argument("--max-order", type=int, default=5, dest="max_order")
+    p_verify.add_argument(
+        "--max-order",
+        type=int,
+        default=5,
+        dest="max_order",
+        help=f"largest graph order in the default pools, 0..{ENUMERATION_MAX_ORDER} (default 5)",
+    )
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", action="store_true")

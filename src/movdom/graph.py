@@ -165,6 +165,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return from_edge_list(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
+# Every family's order is the sum of its parameters (family_order), so
+# a caller can check the order before a graph is built.
 _FAMILIES = {
     "path": (path, 1),
     "cycle": (cycle, 1),
@@ -174,15 +176,21 @@ _FAMILIES = {
 }
 
 
-def make_family(name: str, *params: int) -> Graph:
-    """Construct a named-family graph, e.g. make_family("path", 4)."""
+def family_order(name: str, *params: int) -> int:
+    """The order of make_family(name, *params), found without building the graph."""
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown graph family {name!r} (known: {known})")
-    builder, arity = _FAMILIES[name]
+    _, arity = _FAMILIES[name]
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+    return sum(params)
+
+
+def make_family(name: str, *params: int) -> Graph:
+    """Construct a named-family graph, e.g. make_family("path", 4)."""
+    family_order(name, *params)
+    return _FAMILIES[name][0](*params)
 
 
 def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:

@@ -6,6 +6,10 @@ instance through the public solver API, and returns a ClaimReport whose
 counterexample, if any, contains everything needed to replay the
 discrepancy: the graphs as edge lists, the sets, and the mode.
 
+Five claims share one check loop, ``_report``: remark-3.1 and theorem-3.2
+through ``_enumerated``, the three product formulas through
+``_formula_claim``.  The two sampled lemmas keep their own loops.
+
 Claims whose ideal value is a product formula are validated on pools
 where that formula is at least 2 by default, since the 2-movable
 invariant can never be smaller; callers may pass any pool they like.
@@ -13,10 +17,12 @@ invariant can never be smaller; callers may pass any pool they like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from .domination import SOLVER_MAX_ORDER, gamma, is_dominating, sample_dominating_sets
 from .graph import (
+    ENUMERATION_MAX_ORDER,
     Graph,
     VertexSet,
     bits,
@@ -29,16 +35,6 @@ from .graph import (
 )
 from .movable import ReplacementMode, gamma_m1, gamma_m2, is_2movable_dominating
 from .products import CoronaLayout, corona, join, slice_copy
-
-CLAIM_IDS = (
-    "remark-3.1",
-    "theorem-3.2",
-    "theorem-3.3",
-    "theorem-3.6",
-    "corollary-3.1",
-    "lemma-3.4",
-    "lemma-3.5",
-)
 
 _MODES = (ReplacementMode.LITERAL, ReplacementMode.DISTINCT)
 
@@ -66,19 +62,7 @@ class ClaimReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "claim": self.claim,
-            "pool": self.pool,
-            "instances": self.instances,
-            "status": self.status,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.clause_tally is not None:
-            out["clause_tally"] = self.clause_tally
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _graph_payload(g: Graph) -> dict:
@@ -89,38 +73,85 @@ def _value_payload(value: int | None) -> int | str:
     return "none" if value is None else value
 
 
+def _report(claim: str, pool: str, items: list, check, tally: dict | None = None) -> ClaimReport:
+    """Fail on the first counterexample ``check(item)`` yields; drain all checks for the tallies."""
+    counterexample = None
+    for item in items:
+        for found in check(item):
+            if counterexample is None:
+                counterexample = found
+    return ClaimReport(
+        claim=claim,
+        pool=pool,
+        instances=len(items),
+        status="fail" if counterexample else "pass",
+        counterexample=counterexample,
+        clause_tally=tally,
+    )
+
+
+def _enumerated(claim: str, pool, check, prefix: str = "") -> ClaimReport:
+    """Report ``check(g, solved)`` on the connected graphs of order >= 4 in pool.
+
+    ``solved`` yields (mode, value) where gamma_m2(g, mode) exists; run to
+    the end, it tallies existence per mode under keys starting with ``prefix``.
+    """
+    supplied = list(pool)
+    graphs = [g for g in supplied if g.n >= 4 and is_connected(g)]
+    tally = {f"{prefix}{m.value}_{k}": 0 for m in _MODES for k in ("exists", "missing")}
+
+    def solved(g: Graph):
+        for mode in _MODES:
+            result = gamma_m2(g, mode)
+            tally[f"{prefix}{mode.value}_{'exists' if result.exists else 'missing'}"] += 1
+            if result.exists:
+                yield mode, result.value
+
+    pool_text = f"{len(graphs)} connected graphs of order >= 4 (of {len(supplied)} supplied)"
+    return _report(claim, pool_text, graphs, lambda g: check(g, solved(g)), tally)
+
+
+def _formula_claim(claim: str, pool: str, items: list, product, expected, factors) -> ClaimReport:
+    """Report ``gamma_m2(product(*item)) == expected(*item)`` in both modes.
+
+    An item is a tuple of factor graphs, named by ``factors`` in a
+    counterexample.  The product is built once per item, before ``expected``.
+    """
+
+    def check(item):
+        built, _ = product(*item)
+        want = expected(*item)
+        for mode in _MODES:
+            got = gamma_m2(built, mode).value
+            if got != want:
+                yield {
+                    **{name: _graph_payload(f) for name, f in zip(factors, item)},
+                    "mode": mode.value,
+                    "expected": want,
+                    "got": _value_payload(got),
+                }
+
+    return _report(claim, pool, items, check)
+
+
 def verify_remark_3_1(pool) -> ClaimReport:
     """The 2-movable invariant is at least 2 whenever it exists.
 
     Checked under both replacement modes on connected graphs of order
     at least 4.
     """
-    supplied = list(pool)
-    admissible = [g for g in supplied if g.n >= 4 and is_connected(g)]
-    tally = {"literal_exists": 0, "literal_missing": 0, "distinct_exists": 0, "distinct_missing": 0}
-    counterexample = None
-    for g in admissible:
-        for mode in _MODES:
-            result = gamma_m2(g, mode)
-            if result.exists:
-                tally[f"{mode.value}_exists"] += 1
-                if result.value < 2 and counterexample is None:
-                    counterexample = {
-                        "graph": _graph_payload(g),
-                        "mode": mode.value,
-                        "expected": ">= 2",
-                        "got": result.value,
-                    }
-            else:
-                tally[f"{mode.value}_missing"] += 1
-    return ClaimReport(
-        claim="remark-3.1",
-        pool=f"{len(admissible)} connected graphs of order >= 4 (of {len(supplied)} supplied)",
-        instances=len(admissible),
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
-        clause_tally=tally,
-    )
+
+    def check(g, solved):
+        for mode, value in solved:
+            if value < 2:
+                yield {
+                    "graph": _graph_payload(g),
+                    "mode": mode.value,
+                    "expected": ">= 2",
+                    "got": value,
+                }
+
+    return _enumerated("remark-3.1", pool, check)
 
 
 def verify_theorem_3_2(pool) -> ClaimReport:
@@ -129,47 +160,28 @@ def verify_theorem_3_2(pool) -> ClaimReport:
     The 2-movable comparison is made only where that invariant exists;
     existence counts are tallied per mode.
     """
-    supplied = list(pool)
-    admissible = [g for g in supplied if g.n >= 4 and is_connected(g)]
-    tally = {
-        "gamma_m2_literal_exists": 0,
-        "gamma_m2_literal_missing": 0,
-        "gamma_m2_distinct_exists": 0,
-        "gamma_m2_distinct_missing": 0,
-    }
-    counterexample = None
-    for g in admissible:
+
+    def check(g, solved):
         base = gamma(g).value
         m1 = gamma_m1(g)
-        if (not m1.exists or base > m1.value) and counterexample is None:
-            counterexample = {
+        if not m1.exists or base > m1.value:
+            yield {
                 "graph": _graph_payload(g),
                 "inequality": "gamma <= gamma-m1",
                 "gamma": base,
                 "got": _value_payload(m1.value),
             }
-        for mode in _MODES:
-            m2 = gamma_m2(g, mode)
-            if m2.exists:
-                tally[f"gamma_m2_{mode.value}_exists"] += 1
-                if base > m2.value and counterexample is None:
-                    counterexample = {
-                        "graph": _graph_payload(g),
-                        "inequality": "gamma <= gamma-m2",
-                        "mode": mode.value,
-                        "gamma": base,
-                        "got": m2.value,
-                    }
-            else:
-                tally[f"gamma_m2_{mode.value}_missing"] += 1
-    return ClaimReport(
-        claim="theorem-3.2",
-        pool=f"{len(admissible)} connected graphs of order >= 4 (of {len(supplied)} supplied)",
-        instances=len(admissible),
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
-        clause_tally=tally,
-    )
+        for mode, value in solved:
+            if base > value:
+                yield {
+                    "graph": _graph_payload(g),
+                    "inequality": "gamma <= gamma-m2",
+                    "mode": mode.value,
+                    "gamma": base,
+                    "got": value,
+                }
+
+    return _enumerated("theorem-3.2", pool, check, prefix="gamma_m2_")
 
 
 def verify_theorem_3_3(g_pool, h_pool) -> ClaimReport:
@@ -177,37 +189,14 @@ def verify_theorem_3_3(g_pool, h_pool) -> ClaimReport:
     gs = [g for g in g_pool if g.n >= 2 and is_connected(g)]
     hs = [h for h in h_pool if h.n >= 2 and is_connected(h)]
     pairs = [(g, h) for g in gs for h in hs]
-    counterexample = None
-    for g, h in pairs:
-        product, _ = join(g, h)
-        for mode in _MODES:
-            result = gamma_m2(product, mode)
-            if result.value != 2 and counterexample is None:
-                counterexample = {
-                    "g": _graph_payload(g),
-                    "h": _graph_payload(h),
-                    "mode": mode.value,
-                    "expected": 2,
-                    "got": _value_payload(result.value),
-                }
-    return ClaimReport(
-        claim="theorem-3.3",
-        pool=f"{len(pairs)} ordered pairs, connected factors of order >= 2",
-        instances=len(pairs),
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
-    )
+    pool = f"{len(pairs)} ordered pairs, connected factors of order >= 2"
+    return _formula_claim("theorem-3.3", pool, pairs, join, lambda g, h: 2, ("g", "h"))
 
 
 def _admissible_corona_pairs(g_pool, h_pool, order_cap: int):
     gs = [g for g in g_pool if is_connected(g)]
     hs = [h for h in h_pool if is_connected(h)]
-    return [
-        (g, h)
-        for g in gs
-        for h in hs
-        if 4 <= g.n * (1 + h.n) <= order_cap
-    ]
+    return [(g, h) for g in gs for h in hs if 4 <= g.n * (1 + h.n) <= order_cap]
 
 
 def verify_theorem_3_6(g_pool, h_pool) -> ClaimReport:
@@ -217,55 +206,18 @@ def verify_theorem_3_6(g_pool, h_pool) -> ClaimReport:
     and the documented solver budget.
     """
     pairs = _admissible_corona_pairs(g_pool, h_pool, CORONA_ORDER_CAP)
-    counterexample = None
-    for g, h in pairs:
-        product, _ = corona(g, h)
-        expected = g.n * gamma(h).value
-        for mode in _MODES:
-            result = gamma_m2(product, mode)
-            if result.value != expected and counterexample is None:
-                counterexample = {
-                    "g": _graph_payload(g),
-                    "h": _graph_payload(h),
-                    "mode": mode.value,
-                    "expected": expected,
-                    "got": _value_payload(result.value),
-                }
-    return ClaimReport(
-        claim="theorem-3.6",
-        pool=(
-            f"{len(pairs)} ordered pairs, connected factors, "
-            f"4 <= corona order <= {CORONA_ORDER_CAP}"
-        ),
-        instances=len(pairs),
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
+    pool = f"{len(pairs)} ordered pairs, connected factors, 4 <= corona order <= {CORONA_ORDER_CAP}"
+    return _formula_claim(
+        "theorem-3.6", pool, pairs, corona, lambda g, h: g.n * gamma(h).value, ("g", "h")
     )
 
 
 def verify_corollary_3_1(h_pool) -> ClaimReport:
     """Joining one apex vertex: the 2-movable number equals gamma(H)."""
-    hs = [h for h in h_pool if h.n >= 4 and is_connected(h)]
-    apex = complete(1)
-    counterexample = None
-    for h in hs:
-        product, _ = join(apex, h)
-        expected = gamma(h).value
-        for mode in _MODES:
-            result = gamma_m2(product, mode)
-            if result.value != expected and counterexample is None:
-                counterexample = {
-                    "h": _graph_payload(h),
-                    "mode": mode.value,
-                    "expected": expected,
-                    "got": _value_payload(result.value),
-                }
-    return ClaimReport(
-        claim="corollary-3.1",
-        pool=f"{len(hs)} connected graphs of order >= 4",
-        instances=len(hs),
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
+    hs = [(h,) for h in h_pool if h.n >= 4 and is_connected(h)]
+    pool = f"{len(hs)} connected graphs of order >= 4"
+    return _formula_claim(
+        "corollary-3.1", pool, hs, partial(join, complete(1)), lambda h: gamma(h).value, ("h",)
     )
 
 
@@ -443,17 +395,18 @@ def verify_lemma_3_5(
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Pool and sampling budgets for a full validation run."""
+    """Pool and sampling budgets for a full validation run; out of range is an error."""
 
     max_order: int = 5
     samples: int = 100
     movable_samples: int = 50
     seed: int = 0
 
-
-def _default_enumerated_pool(budget: BudgetConfig) -> list[Graph]:
-    top = min(budget.max_order, 6)
-    return [g for n in range(4, top + 1) for g in enumerate_connected_graphs(n)]
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_order <= ENUMERATION_MAX_ORDER:
+            raise ValueError(f"max order {self.max_order} is outside 0..{ENUMERATION_MAX_ORDER}")
+        if min(self.samples, self.movable_samples) < 0:
+            raise ValueError("sample budgets must be non-negative")
 
 
 def _capped(pool: list[Graph], budget: BudgetConfig) -> list[Graph]:
@@ -462,13 +415,33 @@ def _capped(pool: list[Graph], budget: BudgetConfig) -> list[Graph]:
 
 def default_pools(budget: BudgetConfig) -> dict:
     """The curated default instance pools for run_all, order-capped by budget."""
+    orders = range(4, budget.max_order + 1)
     return {
-        "enumerated": _default_enumerated_pool(budget),
+        "enumerated": [g for n in orders for g in enumerate_connected_graphs(n)],
         "join": _capped([complete(2), path(3), cycle(3), path(4), cycle(4)], budget),
         "corona_g": _capped([complete(2), path(3), cycle(3)], budget),
         "corona_h": _capped([complete(1), complete(2), path(3), complete(3)], budget),
         "corollary_h": _capped([path(4), cycle(4), path(5), cycle(5)], budget),
     }
+
+
+# Claims in canonical order.  The runners look verify_* up at call time,
+# so a wrapper put on the module attribute is the one that runs.
+_RUNNERS = {
+    "remark-3.1": lambda pools, budget: verify_remark_3_1(pools["enumerated"]),
+    "theorem-3.2": lambda pools, budget: verify_theorem_3_2(pools["enumerated"]),
+    "theorem-3.3": lambda pools, budget: verify_theorem_3_3(pools["join"], pools["join"]),
+    "theorem-3.6": lambda pools, budget: verify_theorem_3_6(pools["corona_g"], pools["corona_h"]),
+    "corollary-3.1": lambda pools, budget: verify_corollary_3_1(pools["corollary_h"]),
+    "lemma-3.4": lambda pools, budget: verify_lemma_3_4(
+        pools["corona_g"], pools["corona_h"], budget.samples, budget.seed
+    ),
+    "lemma-3.5": lambda pools, budget: verify_lemma_3_5(
+        pools["corona_g"], pools["corona_h"], budget.movable_samples, budget.seed
+    ),
+}
+
+CLAIM_IDS = tuple(_RUNNERS)
 
 
 def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport]:
@@ -484,17 +457,4 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
             raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
     selected = CLAIM_IDS if claims is None else tuple(c for c in CLAIM_IDS if c in set(claims))
     pools = default_pools(budget)
-    runners = {
-        "remark-3.1": lambda: verify_remark_3_1(pools["enumerated"]),
-        "theorem-3.2": lambda: verify_theorem_3_2(pools["enumerated"]),
-        "theorem-3.3": lambda: verify_theorem_3_3(pools["join"], pools["join"]),
-        "theorem-3.6": lambda: verify_theorem_3_6(pools["corona_g"], pools["corona_h"]),
-        "corollary-3.1": lambda: verify_corollary_3_1(pools["corollary_h"]),
-        "lemma-3.4": lambda: verify_lemma_3_4(
-            pools["corona_g"], pools["corona_h"], budget.samples, budget.seed
-        ),
-        "lemma-3.5": lambda: verify_lemma_3_5(
-            pools["corona_g"], pools["corona_h"], budget.movable_samples, budget.seed
-        ),
-    }
-    return [runners[c]() for c in selected]
+    return [_RUNNERS[c](pools, budget) for c in selected]

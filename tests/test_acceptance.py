@@ -293,12 +293,12 @@ def test_criterion_8_fixed_points():
 
 
 def test_criterion_9_verify_determinism():
-    argv = [sys.executable, "-m", "movdom", "verify", "--all", "--seed", "7", "--json"]
+    argv = [sys.executable, "-m", "movdom", "verify", "--seed", "7", "--json"]
     first = subprocess.run(argv, capture_output=True)
     second = subprocess.run(argv, capture_output=True)
     failures = []
     if first.returncode != 0:
-        failures.append(f"verify --all exited {first.returncode}")
+        failures.append(f"verify exited {first.returncode}")
     if first.stdout != second.stdout:
         failures.append("repeated runs differ byte-for-byte")
     if not first.stdout.strip():

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 import tracemalloc
+
+import pytest
 
 import movdom.harness
 from movdom import SolverResult, format_edge_list, mask_of, path
@@ -99,6 +102,17 @@ class TestCompute:
         assert code == 1
         assert "capped" in err
         assert peak < 5_000_000  # building the graph would take over 150 MB
+
+    def test_huge_family_rejected_before_building(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(["compute", "gamma", "--family", "path:30000"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "capped" in err
+        assert peak < 5_000_000  # building P30000 takes about 65 MB
 
     def test_source_flags_are_exclusive(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -215,7 +229,7 @@ class TestVerify:
         assert "0 instances, vacuous" in out
 
     def test_all_claims_json_deterministic(self, capsys):
-        argv = ["verify", "--all", "--seed", "7", "--max-order", "4", "--samples", "10", "--json"]
+        argv = ["verify", "--seed", "7", "--max-order", "4", "--samples", "10", "--json"]
         code1, out1, _ = run_cli(argv, capsys)
         code2, out2, _ = run_cli(argv, capsys)
         assert code1 == code2 == 0
@@ -226,6 +240,28 @@ class TestVerify:
             "remark-3.1", "theorem-3.2", "theorem-3.3", "theorem-3.6",
             "corollary-3.1", "lemma-3.4", "lemma-3.5",
         ]
+
+    def test_json_bytes_pinned(self, capsys):
+        # Any change to a report, pool text, tally or counterexample key shows here.
+        code, out, _ = run_cli(["verify", "--json", "--max-order", "5", "--seed", "7"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f687b4d37499380ca345c694812f74e4264cc4a711c867f6003dc8e223c35f16"
+        )
+
+    @pytest.mark.parametrize(
+        "budget",
+        [["--max-order", "9"], ["--max-order", "-1"], ["--samples", "-5", "--claim", "theorem-3.3"]],
+        ids=["max-order-above-enumeration", "max-order-negative", "samples-negative"],
+    )
+    def test_budget_out_of_range_rejected(self, budget, capsys, monkeypatch):
+        def no_pools(budget):
+            raise AssertionError("pools built for a rejected budget")
+
+        monkeypatch.setattr(movdom.harness, "default_pools", no_pools)
+        code, out, err = run_cli(["verify", *budget], capsys)
+        assert code == 1
+        assert out == "" and err.startswith("error:")
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--claim", "theorem-9.9"], capsys)

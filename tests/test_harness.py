@@ -162,6 +162,79 @@ class TestLemma35:
         assert tally["clause_i"] + tally["clause_ii"] + tally["clause_iii"] > 0
 
 
+def _graph(g):
+    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
+
+
+def _corrupt(mode, result):
+    """gamma_m2 that returns result in mode and the true value otherwise."""
+    return lambda g, m: result if m is mode else gamma_m2(g, m)
+
+
+NONE = SolverResult(None, None)
+TOO_SMALL = SolverResult(1, mask_of(0))
+LITERAL, DISTINCT = ReplacementMode.LITERAL, ReplacementMode.DISTINCT
+
+# (solver patched on movdom.harness, fake, claim run, first counterexample);
+# every pool has two admissible instances.
+FOLDED_CLAIMS = {
+    "remark-3.1": (
+        "gamma_m2",
+        _corrupt(DISTINCT, TOO_SMALL),
+        lambda: verify_remark_3_1([path(4), cycle(4)]),
+        {"graph": _graph(path(4)), "mode": "distinct", "expected": ">= 2", "got": 1},
+    ),
+    "theorem-3.2/gamma-m1": (
+        "gamma_m1",
+        lambda g: NONE,
+        lambda: verify_theorem_3_2([path(4), cycle(4)]),
+        {"graph": _graph(path(4)), "inequality": "gamma <= gamma-m1", "gamma": 2, "got": "none"},
+    ),
+    "theorem-3.2/gamma-m2": (
+        "gamma_m2",
+        _corrupt(DISTINCT, TOO_SMALL),
+        lambda: verify_theorem_3_2([path(4), cycle(4)]),
+        {
+            "graph": _graph(path(4)),
+            "inequality": "gamma <= gamma-m2",
+            "mode": "distinct",
+            "gamma": 2,
+            "got": 1,
+        },
+    ),
+    "theorem-3.3": (
+        "gamma_m2",
+        _corrupt(DISTINCT, NONE),
+        lambda: verify_theorem_3_3([complete(2)], [complete(2), path(3)]),
+        {
+            "g": _graph(complete(2)),
+            "h": _graph(complete(2)),
+            "mode": "distinct",
+            "expected": 2,
+            "got": "none",
+        },
+    ),
+    "theorem-3.6": (
+        "gamma_m2",
+        _corrupt(LITERAL, SolverResult(7, mask_of(0))),
+        lambda: verify_theorem_3_6([complete(2)], [complete(1), path(3)]),
+        {
+            "g": _graph(complete(2)),
+            "h": _graph(complete(1)),
+            "mode": "literal",
+            "expected": 2,
+            "got": 7,
+        },
+    ),
+    "corollary-3.1": (
+        "gamma_m2",
+        _corrupt(DISTINCT, NONE),
+        lambda: verify_corollary_3_1([cycle(4), path(5)]),
+        {"h": _graph(cycle(4)), "mode": "distinct", "expected": 2, "got": "none"},
+    ),
+}
+
+
 class TestCorruptedSolverSensitivity:
     def test_theorem_3_3_detects_and_replays(self, monkeypatch):
         def corrupted(g, mode=ReplacementMode.LITERAL):
@@ -192,6 +265,27 @@ class TestCorruptedSolverSensitivity:
         report = verify_remark_3_1([path(4)])
         assert not report.passed
         assert report.counterexample["got"] == 1
+
+    @pytest.mark.parametrize("case", FOLDED_CLAIMS)
+    def test_folded_claim_counterexample(self, case, monkeypatch):
+        name, fake, run, counterexample = FOLDED_CLAIMS[case]
+        monkeypatch.setattr(movdom.harness, name, fake)
+        m2 = movdom.harness.gamma_m2
+        modes = []
+
+        def counted(g, mode):
+            modes.append(mode)
+            return m2(g, mode)
+
+        monkeypatch.setattr(movdom.harness, "gamma_m2", counted)
+        report = run()
+        assert report.status == "fail"
+        assert report.counterexample == counterexample
+        assert report.instances == 2
+        # every mode of every instance is still checked after the counterexample
+        assert modes == [LITERAL, DISTINCT] * 2
+        if report.clause_tally is not None:
+            assert sum(report.clause_tally.values()) == 2 * 2
 
 
 class TestRunAll:
