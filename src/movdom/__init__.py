@@ -33,7 +33,6 @@ from .graph import (
     is_connected,
     make_family,
     mask_of,
-    open_neighborhood,
     parse_edge_list,
     path,
     random_connected_graph,
@@ -73,7 +72,6 @@ from .products import (
     JoinLayout,
     corona,
     join,
-    layout_partition_ok,
     slice_copy,
 )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .domination import SolverResult, check_solver_order, gamma
@@ -156,24 +157,9 @@ def _cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.product == "join":
-        product, layout = join(left, right)
-        layout_payload = {
-            "schema": SCHEMA,
-            "product": "join",
-            "n": product.n,
-            "g_range": list(layout.g_range),
-            "h_range": list(layout.h_range),
-        }
-    else:
-        product, layout = corona(left, right)
-        layout_payload = {
-            "schema": SCHEMA,
-            "product": "corona",
-            "n": product.n,
-            "centers": list(layout.centers),
-            "copies": [list(c) for c in layout.copies],
-        }
+    build = join if args.product == "join" else corona
+    product, layout = build(left, right)
+    layout_payload = {"schema": SCHEMA, "product": args.product, "n": product.n, **asdict(layout)}
 
     out_path = Path(args.output)
     sidecar_path = Path(str(out_path) + ".layout.json")

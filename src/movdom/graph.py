@@ -202,15 +202,6 @@ def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     return out
 
 
-def open_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """N(S): every vertex adjacent to a member of s (self-inclusion not forced)."""
-    check_vertex_set(g, s)
-    out = 0
-    for v in bits(s):
-        out |= g.adj[v]
-    return out
-
-
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
     visited = 1

@@ -6,9 +6,9 @@ instance through the public solver API, and returns a ClaimReport whose
 counterexample, if any, contains everything needed to replay the
 discrepancy: the graphs as edge lists, the sets, and the mode.
 
-Five claims share one check loop, ``_report``: remark-3.1 and theorem-3.2
-through ``_enumerated``, the three product formulas through
-``_formula_claim``.  The two sampled lemmas keep their own loops.
+All seven claims share one check loop, ``_report``: remark-3.1 and
+theorem-3.2 through ``_enumerated``, the three product formulas through
+``_formula_claim``, and the two sampled corona lemmas directly.
 
 Claims whose ideal value is a product formula are validated on pools
 where that formula is at least 2 by default, since the 2-movable
@@ -73,7 +73,9 @@ def _value_payload(value: int | None) -> int | str:
     return "none" if value is None else value
 
 
-def _report(claim: str, pool: str, items: list, check, tally: dict | None = None) -> ClaimReport:
+def _report(
+    claim: str, pool: str, items: list, check, tally: dict | None = None, seed: int | None = None
+) -> ClaimReport:
     """Fail on the first counterexample ``check(item)`` yields; drain all checks for the tallies."""
     counterexample = None
     for item in items:
@@ -87,6 +89,7 @@ def _report(claim: str, pool: str, items: list, check, tally: dict | None = None
         status="fail" if counterexample else "pass",
         counterexample=counterexample,
         clause_tally=tally,
+        seed=seed,
     )
 
 
@@ -230,39 +233,35 @@ def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int = 100, seed: int = 
     precondition, and tallied.
     """
     pairs = _admissible_corona_pairs(g_pool, h_pool, order_cap=10**9)
-    tally = {"centers_checked": 0, "centers_skipped_in_T": 0}
-    counterexample = None
-    instances = 0
+    items = []
     for g, h in pairs:
         product, layout = corona(g, h)
         slices = [slice_copy(layout, a, product) for a in range(len(layout.centers))]
-        for t in sample_dominating_sets(product, samples_per_corona, seed):
-            instances += 1
-            for a, (copy_graph, translation) in enumerate(slices):
-                if t >> layout.centers[a] & 1:
-                    tally["centers_skipped_in_T"] += 1
-                    continue
-                tally["centers_checked"] += 1
-                s_a = translation.mask_to_copy(t & layout.copy_mask(a))
-                if not is_dominating(copy_graph, s_a) and counterexample is None:
-                    counterexample = {
-                        "g": _graph_payload(g),
-                        "h": _graph_payload(h),
-                        "T": vertex_list(t),
-                        "center": a,
-                        "copy_set": vertex_list(s_a),
-                        "expected": "dominating",
-                        "got": "not-dominating",
-                    }
-    return ClaimReport(
-        claim="lemma-3.4",
-        pool=f"{len(pairs)} coronas of connected factors, {samples_per_corona} samples each",
-        instances=instances,
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
-        clause_tally=tally,
-        seed=seed,
-    )
+        samples = sample_dominating_sets(product, samples_per_corona, seed)
+        items += [(g, h, layout, slices, t) for t in samples]
+    tally = {"centers_checked": 0, "centers_skipped_in_T": 0}
+
+    def check(item):
+        g, h, layout, slices, t = item
+        for a, (copy_graph, translation) in enumerate(slices):
+            if t >> layout.centers[a] & 1:
+                tally["centers_skipped_in_T"] += 1
+                continue
+            tally["centers_checked"] += 1
+            s_a = translation.mask_to_copy(t & layout.copy_mask(a))
+            if not is_dominating(copy_graph, s_a):
+                yield {
+                    "g": _graph_payload(g),
+                    "h": _graph_payload(h),
+                    "T": vertex_list(t),
+                    "center": a,
+                    "copy_set": vertex_list(s_a),
+                    "expected": "dominating",
+                    "got": "not-dominating",
+                }
+
+    pool = f"{len(pairs)} coronas of connected factors, {samples_per_corona} samples each"
+    return _report("lemma-3.4", pool, items, check, tally, seed)
 
 
 def _covers_copy(product: Graph, unit: VertexSet, copy_mask: VertexSet, members: VertexSet) -> bool:
@@ -298,25 +297,18 @@ def _lemma_3_5_clause(
     return None
 
 
-def verify_lemma_3_5(
-    g_pool,
-    h_pool,
-    samples_per_corona: int = 50,
-    seed: int = 0,
-    mode: ReplacementMode | None = None,
-) -> ClaimReport:
+def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int = 50, seed: int = 0) -> ClaimReport:
     """2-movable sets of a corona satisfy the per-copy move disjunction.
 
-    The sets checked are the solver's witness plus sampled dominating
-    sets that certify as 2-movable, per replacement mode (both modes
-    when ``mode`` is None).  For every center a and every member u of
-    the set's part inside a's copy, one of the three clauses must hold:
-    the slice minus {a, u} dominates the copy, or it does after adding
-    outside-slice-set neighbors of both a and u, or of u alone.  The
-    tally records which clause fired first, vacuous centers, and the
-    smallest certified-sample count any corona achieved.
+    The sets checked, in both replacement modes, are the solver's witness
+    plus sampled dominating sets that certify as 2-movable.  For every
+    center a and every member u of the set's part inside a's copy, one
+    of the three clauses must hold: the slice minus {a, u} dominates the
+    copy, or it does after adding outside-slice-set neighbors of both a
+    and u, or of u alone.  The tally records which clause fired first,
+    vacuous centers, and the smallest certified-sample count any corona
+    achieved.
     """
-    modes = _MODES if mode is None else (mode,)
     pairs = _admissible_corona_pairs(g_pool, h_pool, SOLVER_MAX_ORDER)
     tally = {
         "clause_i": 0,
@@ -327,13 +319,12 @@ def verify_lemma_3_5(
         "certified_samples": 0,
     }
     min_certified = None
-    counterexample = None
-    instances = 0
+    items = []
     draw_cap = max(64, 50 * samples_per_corona)
     for g, h in pairs:
         product, layout = corona(g, h)
         stream = sample_dominating_sets(product, draw_cap, seed)
-        for m in modes:
+        for m in _MODES:
             to_check: list[VertexSet] = []
             witness = gamma_m2(product, m).witness
             if witness is not None:
@@ -352,45 +343,39 @@ def verify_lemma_3_5(
             tally["certified_samples"] += certified
             if samples_per_corona > 0:
                 min_certified = certified if min_certified is None else min(min_certified, certified)
-            for t in to_check:
-                instances += 1
-                for a in range(len(layout.centers)):
-                    s_a = t & layout.copy_mask(a)
-                    if s_a == 0:
-                        tally["vacuous_centers"] += 1
-                        continue
-                    t_a = t & layout.unit_mask(a)
-                    for u in bits(s_a):
-                        clause = _lemma_3_5_clause(product, layout, a, t_a, u)
-                        if clause is None:
-                            if counterexample is None:
-                                counterexample = {
-                                    "g": _graph_payload(g),
-                                    "h": _graph_payload(h),
-                                    "T": vertex_list(t),
-                                    "mode": m.value,
-                                    "center": a,
-                                    "member": u,
-                                    "expected": "one of clauses i/ii/iii",
-                                    "got": "none hold",
-                                }
-                        else:
-                            tally[f"clause_{clause}"] += 1
+            items += [(g, h, product, layout, m, t) for t in to_check]
     if min_certified is not None:
         tally["min_certified_per_corona"] = min_certified
-    return ClaimReport(
-        claim="lemma-3.5",
-        pool=(
-            f"{len(pairs)} coronas of connected factors, solver witness plus up to "
-            f"{samples_per_corona} certified samples each, "
-            f"modes={'both' if mode is None else mode.value}"
-        ),
-        instances=instances,
-        status="fail" if counterexample else "pass",
-        counterexample=counterexample,
-        clause_tally=tally,
-        seed=seed,
+
+    def check(item):
+        g, h, product, layout, m, t = item
+        for a in range(len(layout.centers)):
+            s_a = t & layout.copy_mask(a)
+            if s_a == 0:
+                tally["vacuous_centers"] += 1
+                continue
+            t_a = t & layout.unit_mask(a)
+            for u in bits(s_a):
+                clause = _lemma_3_5_clause(product, layout, a, t_a, u)
+                if clause is not None:
+                    tally[f"clause_{clause}"] += 1
+                    continue
+                yield {
+                    "g": _graph_payload(g),
+                    "h": _graph_payload(h),
+                    "T": vertex_list(t),
+                    "mode": m.value,
+                    "center": a,
+                    "member": u,
+                    "expected": "one of clauses i/ii/iii",
+                    "got": "none hold",
+                }
+
+    pool = (
+        f"{len(pairs)} coronas of connected factors, solver witness plus up to "
+        f"{samples_per_corona} certified samples each, modes=both"
     )
+    return _report("lemma-3.5", pool, items, check, tally, seed)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,6 @@ class JoinLayout:
     g_range: tuple[int, int]
     h_range: tuple[int, int]
 
-    @property
-    def g_mask(self) -> VertexSet:
-        return _interval_mask(*self.g_range)
-
-    @property
-    def h_mask(self) -> VertexSet:
-        return _interval_mask(*self.h_range)
-
 
 @dataclass(frozen=True)
 class CoronaLayout:
@@ -62,20 +54,10 @@ class IndexTranslation:
             raise ValueError(f"product vertex {product_vertex} is outside the copy")
         return i
 
-    def to_product(self, copy_vertex: int) -> int:
-        if not 0 <= copy_vertex < self.size:
-            raise ValueError(f"copy vertex {copy_vertex} is out of range")
-        return copy_vertex + self.offset
-
     def mask_to_copy(self, product_mask: VertexSet) -> VertexSet:
         if product_mask & ~(_interval_mask(self.offset, self.offset + self.size)):
             raise ValueError("mask has members outside the copy interval")
         return product_mask >> self.offset
-
-    def mask_to_product(self, copy_mask: VertexSet) -> VertexSet:
-        if copy_mask < 0 or copy_mask >> self.size:
-            raise ValueError("mask has members outside the copy")
-        return copy_mask << self.offset
 
 
 def _interval_mask(start: int, stop: int) -> VertexSet:
@@ -120,8 +102,8 @@ def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> tuple[Graph, Ind
     """The copy attached to center a as a standalone graph.
 
     Returns the induced subgraph on the copy interval, re-indexed to
-    0..|V(H)|-1, plus the translation used, so sets can be mapped in
-    both directions.
+    0..|V(H)|-1, plus the translation used, so product sets can be
+    mapped into the copy.
     """
     if not 0 <= a < len(layout.centers):
         raise ValueError(f"center index {a} out of range")
@@ -132,21 +114,6 @@ def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> tuple[Graph, Ind
     return Graph(size, adj), IndexTranslation(start, size)
 
 
-def layout_partition_ok(layout: JoinLayout | CoronaLayout, n: int) -> bool:
-    """True iff the layout's pieces exactly cover 0..n-1 without overlap."""
-    if isinstance(layout, JoinLayout):
-        pieces = [layout.g_mask, layout.h_mask]
-    else:
-        pieces = [1 << c for c in layout.centers]
-        pieces += [layout.copy_mask(a) for a in range(len(layout.centers))]
-    union = 0
-    for piece in pieces:
-        if union & piece:
-            return False
-        union |= piece
-    return union == (1 << n) - 1
-
-
 __all__ = [
     "JoinLayout",
     "CoronaLayout",
@@ -154,5 +121,4 @@ __all__ = [
     "join",
     "corona",
     "slice_copy",
-    "layout_partition_ok",
 ]

@@ -212,6 +212,32 @@ class TestBuild:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "product, left, right, sidecar",
+        [
+            (
+                "join", "complete:1", "complete:2",
+                '{\n  "g_range": [\n    0,\n    1\n  ],\n  "h_range": [\n    1,\n    3\n  ],\n'
+                '  "n": 3,\n  "product": "join",\n  "schema": "movdom/1"\n}\n',
+            ),
+            (
+                "corona", "complete:2", "complete:1",
+                '{\n  "centers": [\n    0,\n    1\n  ],\n  "copies": [\n    [\n      2,\n'
+                '      3\n    ],\n    [\n      3,\n      4\n    ]\n  ],\n  "n": 4,\n'
+                '  "product": "corona",\n  "schema": "movdom/1"\n}\n',
+            ),
+        ],
+    )
+    def test_sidecar_bytes(self, product, left, right, sidecar, capsys, tmp_path):
+        out_file = tmp_path / "p.edges"
+        code, _, _ = run_cli(
+            ["build", product, "--left", f"family:{left}", "--right", f"family:{right}",
+             "--output", str(out_file)],
+            capsys,
+        )
+        assert code == 0
+        assert (tmp_path / "p.edges.layout.json").read_bytes() == sidecar.encode("ascii")
+
 
 class TestVerify:
     def test_single_claim(self, capsys):

@@ -44,6 +44,10 @@ class TestIsDominating:
         assert not is_dominating(complete(1), 0)
         assert not is_dominating(path(4), 0)
 
+    def test_out_of_range_member_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            is_dominating(path(3), mask_of(3))
+
     @given(graphs_with_subset())
     def test_superset_closure(self, gs):
         g, s = gs

@@ -18,7 +18,6 @@ from movdom import (
     is_connected,
     make_family,
     mask_of,
-    open_neighborhood,
     parse_edge_list,
     path,
     random_connected_graph,
@@ -108,12 +107,6 @@ class TestNeighborhoods:
 
     def test_empty_set(self):
         assert closed_neighborhood(path(4), 0) == 0
-        assert open_neighborhood(path(4), 0) == 0
-
-    def test_open_excludes_self_unless_adjacent(self):
-        g = path(3)
-        assert open_neighborhood(g, mask_of(1)) == mask_of(0, 2)
-        assert open_neighborhood(g, mask_of(0, 1)) == mask_of(0, 1, 2)
 
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

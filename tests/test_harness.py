@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,14 +145,6 @@ class TestLemma35:
         assert report.clause_tally["witnesses"] == 2  # one per mode
         assert report.clause_tally["min_certified_per_corona"] >= 50
 
-    def test_single_mode_run(self):
-        report = verify_lemma_3_5(
-            [complete(2)], [path(3)], samples_per_corona=10, seed=1,
-            mode=ReplacementMode.DISTINCT,
-        )
-        assert report.passed
-        assert "modes=distinct" in report.pool
-
     def test_vacuous_centers_recorded(self):
         # centers-only sets leave every copy empty
         report = verify_lemma_3_5([complete(2)], [complete(1)], samples_per_corona=30, seed=0)
@@ -286,6 +281,86 @@ class TestCorruptedSolverSensitivity:
         assert modes == [LITERAL, DISTINCT] * 2
         if report.clause_tally is not None:
             assert sum(report.clause_tally.values()) == 2 * 2
+
+
+# One center graph, so every lemma instance has |V(G)| = 3 centers.
+LEMMA_G, LEMMA_H = [path(3)], [complete(1), complete(2)]
+
+
+class TestLemmaFaultInjection:
+    def test_lemma_3_4_restriction_never_dominates(self, monkeypatch):
+        clean = verify_lemma_3_4(LEMMA_G, LEMMA_H, samples_per_corona=4, seed=3)
+        calls = []
+
+        def never(g, s):
+            calls.append(s)
+            return False
+
+        monkeypatch.setattr(movdom.harness, "is_dominating", never)
+        report = verify_lemma_3_4(LEMMA_G, LEMMA_H, samples_per_corona=4, seed=3)
+        assert report.status == "fail"
+        # center 0 is in T, so the first restriction checked is center 1's
+        assert report.counterexample == {
+            "g": _graph(path(3)),
+            "h": _graph(complete(1)),
+            "T": [0, 2, 4],
+            "center": 1,
+            "copy_set": [0],
+            "expected": "dominating",
+            "got": "not-dominating",
+        }
+        tally = report.clause_tally
+        assert report.instances == clean.instances == 8
+        assert tally == clean.clause_tally
+        assert tally["centers_checked"] + tally["centers_skipped_in_T"] == report.instances * 3
+        assert len(calls) == tally["centers_checked"]
+
+    def test_lemma_3_5_no_clause_holds(self, monkeypatch):
+        clean = verify_lemma_3_5(LEMMA_G, LEMMA_H, samples_per_corona=3, seed=3)
+        members = []
+
+        def none_hold(product, layout, a, t_a, u):
+            members.append(u)
+            return None
+
+        monkeypatch.setattr(movdom.harness, "_lemma_3_5_clause", none_hold)
+        report = verify_lemma_3_5(LEMMA_G, LEMMA_H, samples_per_corona=3, seed=3)
+        assert report.status == "fail"
+        assert report.counterexample == {
+            "g": _graph(path(3)),
+            "h": _graph(complete(1)),
+            "T": [0, 2, 4],
+            "mode": "literal",
+            "center": 1,
+            "member": 4,
+            "expected": "one of clauses i/ii/iii",
+            "got": "none hold",
+        }
+        assert report.instances == clean.instances == 15
+        tally, clean_tally = report.clause_tally, clean.clause_tally
+        assert tally["vacuous_centers"] == clean_tally["vacuous_centers"]
+        clauses = ("clause_i", "clause_ii", "clause_iii")
+        assert [tally[c] for c in clauses] == [0, 0, 0]
+        # every member the clean run classified is still checked after the counterexample
+        assert len(members) == sum(clean_tally[c] for c in clauses)
+
+
+def _load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkNames:
+    def test_traced_names_resolve(self):
+        """A name the benchmark's tracer wraps must not vanish from movdom."""
+        tracer = _load_bench_tracer()
+        for layer, fn, _ in tracer.WRAPPED:
+            module = importlib.import_module(f"movdom.{layer}")
+            assert callable(getattr(module, fn, None)), f"movdom.{layer}.{fn}"
+        assert set(tracer.CLAIM_RUNNERS.values()) == set(CLAIM_IDS)
 
 
 class TestRunAll:

@@ -8,13 +8,26 @@ from movdom import (
     from_edge_list,
     is_connected,
     join,
-    layout_partition_ok,
     mask_of,
     path,
     slice_copy,
     star,
 )
 from strategies import graphs
+
+
+def _partitions(pieces, n):
+    """True iff the vertex masks in pieces cover 0..n-1 without overlap."""
+    union = 0
+    for piece in pieces:
+        if union & piece:
+            return False
+        union |= piece
+    return union == (1 << n) - 1
+
+
+def _interval(start, stop):
+    return mask_of(*range(start, stop))
 
 
 class TestJoin:
@@ -39,7 +52,7 @@ class TestJoin:
     @given(graphs(max_n=5), graphs(max_n=5))
     def test_degrees_and_partition(self, g, h):
         product, layout = join(g, h)
-        assert layout_partition_ok(layout, product.n)
+        assert _partitions([_interval(*layout.g_range), _interval(*layout.h_range)], product.n)
         for v in range(g.n):
             assert product.degree(v) == g.degree(v) + h.n
         for w in range(h.n):
@@ -73,7 +86,8 @@ class TestCorona:
     @given(graphs(max_n=3), graphs(max_n=3))
     def test_degrees_and_partition(self, g, h):
         product, layout = corona(g, h)
-        assert layout_partition_ok(layout, product.n)
+        pieces = [1 << c for c in layout.centers] + [_interval(*c) for c in layout.copies]
+        assert _partitions(pieces, product.n)
         for a in range(g.n):
             assert product.degree(layout.centers[a]) == g.degree(a) + h.n
             start, stop = layout.copies[a]
@@ -103,17 +117,18 @@ class TestSliceCopy:
     def test_translation_round_trip(self):
         product, layout = corona(path(3), complete(2))
         _, tr = slice_copy(layout, 1, product)
-        for j in range(2):
-            assert tr.to_copy(tr.to_product(j)) == j
-        assert tr.mask_to_copy(tr.mask_to_product(0b11)) == 0b11
+        # center 1 of P3 o K2 owns the product interval [5, 7)
+        assert [tr.to_copy(v) for v in (5, 6)] == [0, 1]
+        assert tr.mask_to_copy(mask_of(5, 6)) == mask_of(0, 1)
+        assert tr.mask_to_copy(mask_of(6)) == mask_of(1)
 
     def test_translation_rejects_outsiders(self):
         product, layout = corona(path(3), complete(2))
         _, tr = slice_copy(layout, 0, product)
         with pytest.raises(ValueError, match="outside the copy"):
             tr.to_copy(0)
-        with pytest.raises(ValueError, match="out of range"):
-            tr.to_product(2)
+        with pytest.raises(ValueError, match="outside the copy"):
+            tr.to_copy(5)
         with pytest.raises(ValueError, match="outside the copy interval"):
             tr.mask_to_copy(mask_of(0))
 
