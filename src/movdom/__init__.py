@@ -68,7 +68,6 @@ from .movable import (
 )
 from .products import (
     CoronaLayout,
-    IndexTranslation,
     JoinLayout,
     corona,
     join,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .graph import (
     format_edge_list,
     from_edge_list,
     make_family,
-    parse_edge_list,
     read_edge_list,
     vertex_list,
 )
@@ -53,33 +53,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _family_spec(spec: str) -> tuple[str, list[int]]:
-    """Split "name:params" into the family name and its integer parameters."""
-    parts = spec.split(":")
-    name, raw_params = parts[0], parts[1:]
-    if not raw_params:
-        raise ValueError(f"family spec {spec!r} is missing parameters")
-    try:
-        params = [int(p) for p in raw_params]
-    except ValueError:
-        raise ValueError(f"family spec {spec!r} has non-integer parameters") from None
-    return name, params
+def _read_graph(source: str, family: bool, check: Callable[[int], None] | None = None) -> Graph:
+    """The graph named by a family spec ("name:params") or an edge-list path.
 
-
-def parse_family_spec(spec: str) -> Graph:
-    """Parse "name:params" into a family graph."""
-    name, params = _family_spec(spec)
-    return make_family(name, *params)
-
-
-def _read_graph_file(path: str) -> Graph:
-    return parse_edge_list(Path(path).read_text(encoding="ascii"))
-
-
-def _load_source(spec: str) -> Graph:
-    if spec.startswith("family:"):
-        return parse_family_spec(spec[len("family:") :])
-    return _read_graph_file(spec)
+    The order comes first (family_order, or the edge list's header), and
+    ``check`` runs on it before anything is sized by n.
+    """
+    if family:
+        name, *raw_params = source.split(":")
+        if not raw_params:
+            raise ValueError(f"family spec {source!r} is missing parameters")
+        try:
+            params = [int(p) for p in raw_params]
+        except ValueError:
+            raise ValueError(f"family spec {source!r} has non-integer parameters") from None
+        n = family_order(name, *params)
+    else:
+        n, edges = read_edge_list(Path(source).read_text(encoding="ascii"))
+    if check is not None:
+        check(n)
+    return make_family(name, *params) if family else from_edge_list(n, edges)
 
 
 def _json_out(payload: dict) -> None:
@@ -88,14 +81,8 @@ def _json_out(payload: dict) -> None:
 
 def _cmd_compute(args) -> int:
     try:
-        if args.family:
-            name, params = _family_spec(args.family)
-            check_solver_order(family_order(name, *params))  # before the graph is built
-            g = make_family(name, *params)
-        else:
-            n, edges = read_edge_list(Path(args.input).read_text(encoding="ascii"))
-            check_solver_order(n)  # before from_edge_list sizes anything by n
-            g = from_edge_list(n, edges)
+        family = args.family is not None
+        g = _read_graph(args.family if family else args.input, family, check_solver_order)
         mode = ReplacementMode(args.mode)
         if args.which == "gamma":
             result = gamma(g)
@@ -151,8 +138,10 @@ def _print_human_result(which: str, mode: ReplacementMode, result: SolverResult)
 
 def _cmd_build(args) -> int:
     try:
-        left = _load_source(args.left)
-        right = _load_source(args.right)
+        left, right = (
+            _read_graph(spec.removeprefix("family:"), spec.startswith("family:"))
+            for spec in (args.left, args.right)
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     VertexSet,
     bits,
+    closed_neighborhood,
     complete,
     cycle,
     enumerate_connected_graphs,
@@ -243,12 +244,12 @@ def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int = 100, seed: int = 
 
     def check(item):
         g, h, layout, slices, t = item
-        for a, (copy_graph, translation) in enumerate(slices):
+        for a, copy_graph in enumerate(slices):
             if t >> layout.centers[a] & 1:
                 tally["centers_skipped_in_T"] += 1
                 continue
             tally["centers_checked"] += 1
-            s_a = translation.mask_to_copy(t & layout.copy_mask(a))
+            s_a = (t & layout.copy_mask(a)) >> layout.copies[a][0]
             if not is_dominating(copy_graph, s_a):
                 yield {
                     "g": _graph_payload(g),
@@ -264,35 +265,31 @@ def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int = 100, seed: int = 
     return _report("lemma-3.4", pool, items, check, tally, seed)
 
 
-def _covers_copy(product: Graph, unit: VertexSet, copy_mask: VertexSet, members: VertexSet) -> bool:
-    cover = 0
-    for w in bits(members):
-        cover |= (product.adj[w] & unit) | 1 << w
-    return copy_mask & ~cover == 0
-
-
 def _lemma_3_5_clause(
     product: Graph, layout: CoronaLayout, a: int, t_a: VertexSet, u: int
 ) -> str | None:
     """Which of the three per-member clauses holds, or None.
 
     All sets live in the center-plus-copy slice; domination means the
-    copy's vertices are covered within that slice.
+    copy's vertices are covered within that slice.  The product's
+    ``closed_neighborhood`` gives the same answer as one clipped to the
+    slice: every member lies in the slice, and every neighbor of a copy
+    vertex does too, so no vertex outside it can cover the copy.
     """
     center = layout.centers[a]
     copy_mask = layout.copy_mask(a)
     unit = layout.unit_mask(a)
     base = t_a & ~(1 << center | 1 << u)
-    if _covers_copy(product, unit, copy_mask, base):
+    if copy_mask & ~closed_neighborhood(product, base) == 0:
         return "i"
     center_swaps = product.adj[center] & copy_mask & ~t_a
     member_swaps = product.adj[u] & unit & ~t_a
     for x_a in bits(center_swaps):
         for x_u in bits(member_swaps):
-            if _covers_copy(product, unit, copy_mask, base | 1 << x_a | 1 << x_u):
+            if copy_mask & ~closed_neighborhood(product, base | 1 << x_a | 1 << x_u) == 0:
                 return "ii"
     for x_u in bits(member_swaps):
-        if _covers_copy(product, unit, copy_mask, base | 1 << x_u):
+        if copy_mask & ~closed_neighborhood(product, base | 1 << x_u) == 0:
             return "iii"
     return None
 

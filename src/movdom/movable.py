@@ -217,10 +217,12 @@ def verify_certificate(
 
     Raises MalformedCertificateError when the move list does not cover
     exactly the required members (level 1) or distinct pairs (level 2).
-    Returns False when coverage is right but some move does not hold:
-    a drop that breaks domination, a replacement inside s, a replacement
-    not adjacent to its member, or coinciding replacements in DISTINCT
-    mode.
+    Returns False when coverage is right but s does not dominate, s has
+    fewer members than the level (so a level-2 certificate needs a pair),
+    or some move does not hold: a drop that breaks domination, a
+    replacement inside s, a replacement not adjacent to its member, or
+    coinciding replacements in DISTINCT mode.  Only plain is_dominating
+    is used, never the solver's predicates.
     """
     check_vertex_set(g, s)
     members = vertex_list(s)
@@ -238,6 +240,8 @@ def verify_certificate(
         raise MalformedCertificateError(
             "moves must cover every required member or pair exactly once"
         )
+    if len(members) < cert.level or not is_dominating(g, s):
+        return False
 
     for move in cert.moves:
         if isinstance(move, VertexMove):

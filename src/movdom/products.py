@@ -41,25 +41,6 @@ class CoronaLayout:
         return self.copy_mask(a) | 1 << self.centers[a]
 
 
-@dataclass(frozen=True)
-class IndexTranslation:
-    """Bijection between a contiguous product interval and 0..size-1."""
-
-    offset: int
-    size: int
-
-    def to_copy(self, product_vertex: int) -> int:
-        i = product_vertex - self.offset
-        if not 0 <= i < self.size:
-            raise ValueError(f"product vertex {product_vertex} is outside the copy")
-        return i
-
-    def mask_to_copy(self, product_mask: VertexSet) -> VertexSet:
-        if product_mask & ~(_interval_mask(self.offset, self.offset + self.size)):
-            raise ValueError("mask has members outside the copy interval")
-        return product_mask >> self.offset
-
-
 def _interval_mask(start: int, stop: int) -> VertexSet:
     return ((1 << (stop - start)) - 1) << start
 
@@ -98,26 +79,23 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
     return Graph(n, tuple(adj)), layout
 
 
-def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> tuple[Graph, IndexTranslation]:
+def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> Graph:
     """The copy attached to center a as a standalone graph.
 
-    Returns the induced subgraph on the copy interval, re-indexed to
-    0..|V(H)|-1, plus the translation used, so product sets can be
-    mapped into the copy.
+    Returns the induced subgraph on the copy interval, re-indexed so that
+    product vertex ``layout.copies[a][0] + i`` becomes vertex i.
     """
     if not 0 <= a < len(layout.centers):
         raise ValueError(f"center index {a} out of range")
     start, stop = layout.copies[a]
-    size = stop - start
     window = _interval_mask(start, stop)
     adj = tuple((product.adj[v] & window) >> start for v in range(start, stop))
-    return Graph(size, adj), IndexTranslation(start, size)
+    return Graph(stop - start, adj)
 
 
 __all__ = [
     "JoinLayout",
     "CoronaLayout",
-    "IndexTranslation",
     "join",
     "corona",
     "slice_copy",

@@ -71,6 +71,12 @@ class TestCompute:
         assert code == 1
         assert "missing parameters" in err
 
+    def test_empty_family_spec(self, capsys):
+        code, _, err = run_cli(["compute", "gamma", "--family", ""], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run_cli(["compute", "gamma", "--input", str(tmp_path / "nope")], capsys)
         assert code == 1

@@ -117,8 +117,8 @@ class TestLemma34:
         assert is_dominating(product, t)
         for a in range(2):
             assert not t >> layout.centers[a] & 1
-            copy_graph, tr = slice_copy(layout, a, product)
-            s_a = tr.mask_to_copy(t & layout.copy_mask(a))
+            copy_graph = slice_copy(layout, a, product)
+            s_a = (t & layout.copy_mask(a)) >> layout.copies[a][0]
             assert is_dominating(copy_graph, s_a)
 
     def test_precondition_skips_centers_in_t(self):

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +26,7 @@ from movdom import (
     vertex_list,
     verify_certificate,
 )
-from strategies import graphs
+from strategies import graphs, graphs_with_subset
 
 LITERAL = ReplacementMode.LITERAL
 DISTINCT = ReplacementMode.DISTINCT
@@ -32,6 +34,30 @@ DISTINCT = ReplacementMode.DISTINCT
 
 def _view(g):
     return naive.AdjacencyView(g.n, g.edges())
+
+
+def _brute_certificate(g, s, level, distinct):
+    """A well-shaped certificate for s built move by move, or None.
+
+    Each member (level 1) or pair (level 2) gets its first working move:
+    a drop, else the first swap in ascending order.  Whether s itself
+    dominates, or has enough members, is never looked at.
+    """
+    view = _view(g)
+    members = vertex_list(s)
+    moves = []
+    for group in combinations(members, level):
+        rest = set(members) - set(group)
+        outside = [sorted(set(view.neighbors(x)) - set(members)) for x in group]
+        swaps = [r for r in product(*outside) if not (distinct and len(set(r)) < level)]
+        found = next((r for r in [(), *swaps] if naive.dominates(view, rest | set(r))), None)
+        if found is None:
+            return None
+        if level == 1:
+            moves.append(VertexMove(group[0], found[0] if found else None))
+        else:
+            moves.append(PairMove(group, found or None))
+    return MovabilityCertificate(level, tuple(moves))
 
 
 class TestOneMovable:
@@ -248,6 +274,35 @@ class TestVerifyCertificate:
         result = gamma_m2(g, DISTINCT)
         if result.exists:
             assert verify_certificate(g, result.witness, result.certificate, LITERAL)
+
+    @pytest.mark.parametrize(
+        "g, s, cert",
+        [
+            (star(4), mask_of(1, 2), MovabilityCertificate(2, (PairMove((1, 2), (0, 0)),))),
+            (star(4), mask_of(1), MovabilityCertificate(1, (VertexMove(1, 0),))),
+            (complete(2), mask_of(0), MovabilityCertificate(2, ())),
+            (path(2), 0, MovabilityCertificate(1, ())),
+        ],
+        ids=["non-dominating-pair", "non-dominating-vertex", "singleton", "empty"],
+    )
+    def test_forged_certificate_fails(self, g, s, cert):
+        # every move holds, but s does not dominate or is too small for the level
+        assert not verify_certificate(g, s, cert, LITERAL)
+
+    @pytest.mark.parametrize("level, mode", [(1, LITERAL), (2, LITERAL), (2, DISTINCT)])
+    @settings(max_examples=200)
+    @given(graphs_with_subset(1, 6))
+    def test_agrees_with_naive_when_every_move_exists(self, level, mode, case):
+        g, s = case
+        cert = _brute_certificate(g, s, level, mode is DISTINCT)
+        if cert is None:
+            return
+        members = set(vertex_list(s))
+        if level == 1:
+            expected = naive.one_movable(_view(g), members)
+        else:
+            expected = naive.two_movable(_view(g), members, mode is DISTINCT)
+        assert verify_certificate(g, s, cert, mode) == expected
 
     def test_failure_object_is_falsy(self):
         assert not MovabilityFailure("not-dominating")

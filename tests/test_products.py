@@ -105,32 +105,14 @@ class TestSliceCopy:
     def test_copies_of_p3(self):
         product, layout = corona(complete(2), path(3))
         for a in range(2):
-            copy_graph, _ = slice_copy(layout, a, product)
+            copy_graph = slice_copy(layout, a, product)
             assert copy_graph == path(3)
 
     def test_copies_of_k2_three_times(self):
         product, layout = corona(path(3), complete(2))
         for a in range(3):
-            copy_graph, _ = slice_copy(layout, a, product)
+            copy_graph = slice_copy(layout, a, product)
             assert copy_graph == complete(2)
-
-    def test_translation_round_trip(self):
-        product, layout = corona(path(3), complete(2))
-        _, tr = slice_copy(layout, 1, product)
-        # center 1 of P3 o K2 owns the product interval [5, 7)
-        assert [tr.to_copy(v) for v in (5, 6)] == [0, 1]
-        assert tr.mask_to_copy(mask_of(5, 6)) == mask_of(0, 1)
-        assert tr.mask_to_copy(mask_of(6)) == mask_of(1)
-
-    def test_translation_rejects_outsiders(self):
-        product, layout = corona(path(3), complete(2))
-        _, tr = slice_copy(layout, 0, product)
-        with pytest.raises(ValueError, match="outside the copy"):
-            tr.to_copy(0)
-        with pytest.raises(ValueError, match="outside the copy"):
-            tr.to_copy(5)
-        with pytest.raises(ValueError, match="outside the copy interval"):
-            tr.mask_to_copy(mask_of(0))
 
     def test_center_out_of_range(self):
         product, layout = corona(path(3), complete(2))
