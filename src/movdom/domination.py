@@ -10,6 +10,7 @@ fails to dominate reaches a caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import TYPE_CHECKING, Iterator
 
@@ -156,22 +157,29 @@ def greedy_repair(g: Graph, seed_set: VertexSet) -> VertexSet:
     return chosen
 
 
-def sample_dominating_sets(g: Graph, count: int, seed: int) -> list[VertexSet]:
-    """``count`` dominating sets, deterministically sampled.
+def dominating_samples(g: Graph, seed: int) -> Iterator[VertexSet]:
+    """An endless, deterministic stream of sampled dominating sets.
 
     Each draw seeds a uniformly sized random subset and repairs it
     greedily, so densities vary from near-minimal to near-total.  The
-    same (graph, count, seed) always yields the same list, and a longer
-    list extends a shorter one drawn with the same seed.
+    same (graph, seed) always yields the same stream, drawn only as far
+    as it is read.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     rng = Random(seed)
-    out = []
-    for _ in range(count):
+    while True:
         size = rng.randrange(g.n + 1)
         seed_set = 0
         for v in rng.sample(range(g.n), size):
             seed_set |= 1 << v
-        out.append(greedy_repair(g, seed_set))
-    return out
+        yield greedy_repair(g, seed_set)
+
+
+def sample_dominating_sets(g: Graph, count: int, seed: int) -> list[VertexSet]:
+    """The first ``count`` sets of ``dominating_samples(g, seed)``.
+
+    The same (graph, count, seed) always yields the same list, and a
+    longer list extends a shorter one drawn with the same seed.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return list(islice(dominating_samples(g, seed), count))

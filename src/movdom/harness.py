@@ -19,8 +19,15 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import islice, tee
 
-from .domination import SOLVER_MAX_ORDER, gamma, is_dominating, sample_dominating_sets
+from .domination import (
+    SOLVER_MAX_ORDER,
+    dominating_samples,
+    gamma,
+    is_dominating,
+    sample_dominating_sets,
+)
 from .graph import (
     ENUMERATION_MAX_ORDER,
     Graph,
@@ -320,8 +327,10 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int = 50, seed: int = 0
     draw_cap = max(64, 50 * samples_per_corona)
     for g, h in pairs:
         product, layout = corona(g, h)
-        stream = sample_dominating_sets(product, draw_cap, seed)
-        for m in _MODES:
+        # Both modes read the same draws; tee draws each only once, as far
+        # as the longer reader goes.
+        streams = tee(islice(dominating_samples(product, seed), draw_cap), len(_MODES))
+        for m, stream in zip(_MODES, streams):
             to_check: list[VertexSet] = []
             witness = gamma_m2(product, m).witness
             if witness is not None:

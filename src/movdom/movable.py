@@ -16,6 +16,20 @@ pair), or a falsy failure object naming the first stuck member or pair.
 Certificates are canonical: members and pairs in ascending order, drops
 preferred over swaps, swap replacements scanned in ascending (u, v)
 order, first success recorded.
+
+Both predicates decide each move from coverage counts rather than a fresh
+domination test.  One pass over the members of S builds three masks:
+``covered`` (vertices with at least one member in their closed
+neighbourhood), ``once`` (exactly one) and ``twice`` (exactly two).  S
+dominates iff ``covered`` is every vertex.  A vertex in ``once & N[v]``
+is a private neighbour of v with respect to S (Haynes, Hedetniemi and
+Slater, *Fundamentals of Domination in Graphs*, 1998), so dropping v
+uncovers exactly ``lost = once & N[v]``, and dropping the pair {x, y}
+uncovers ``lost = once & (N[x] | N[y]) | twice & N[x] & N[y]``.  The
+drop works iff ``lost`` is empty; the swap to u (or to u and v) works
+iff the replacements' closed neighbourhoods cover ``lost``.
+``verify_certificate`` does not use these masks: it re-checks every move
+with plain ``is_dominating``, so it stays independent of the predicates.
 """
 
 from __future__ import annotations
@@ -112,6 +126,18 @@ class MovabilityFailure:
         return False
 
 
+def _coverage(g: Graph, s: VertexSet) -> tuple[list[VertexSet], VertexSet, VertexSet, VertexSet]:
+    """Closed neighbourhoods of g, and the vertices s covers >= 1, == 1 and == 2 times."""
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    covered = once = twice = 0
+    for v in bits(s):
+        nv = closed[v]
+        twice = twice & ~nv | once & nv
+        once = once & ~nv | nv & ~covered
+        covered |= nv
+    return closed, covered, once, twice
+
+
 def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | MovabilityFailure:
     """Certificate iff s dominates and every single member is movable.
 
@@ -121,38 +147,22 @@ def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | Mo
     check_vertex_set(g, s)
     if s == 0:
         raise ValueError("the empty set cannot be checked for movability")
-    if not is_dominating(g, s):
+    closed, covered, once, _ = _coverage(g, s)
+    if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     moves = []
     for v in bits(s):
-        rest = s & ~(1 << v)
-        if is_dominating(g, rest):
+        lost = once & closed[v]
+        if not lost:
             moves.append(VertexMove(v))
             continue
         for u in bits(g.adj[v] & ~s):
-            if is_dominating(g, rest | 1 << u):
+            if not lost & ~closed[u]:
                 moves.append(VertexMove(v, u))
                 break
         else:
             return MovabilityFailure("immovable-vertex", v)
     return MovabilityCertificate(1, tuple(moves))
-
-
-def _pair_move(
-    g: Graph, s: VertexSet, x: int, y: int, mode: ReplacementMode
-) -> PairMove | None:
-    rest = s & ~(1 << x | 1 << y)
-    if is_dominating(g, rest):
-        return PairMove((x, y))
-    outside_x = g.adj[x] & ~s
-    outside_y = g.adj[y] & ~s
-    for u in bits(outside_x):
-        for v in bits(outside_y):
-            if mode is ReplacementMode.DISTINCT and u == v:
-                continue
-            if is_dominating(g, rest | 1 << u | 1 << v):
-                return PairMove((x, y), (u, v))
-    return None
 
 
 def is_2movable_dominating(
@@ -168,16 +178,32 @@ def is_2movable_dominating(
     check_vertex_set(g, s)
     if s == 0:
         raise ValueError("the empty set cannot be checked for movability")
-    if not is_dominating(g, s):
+    closed, covered, once, twice = _coverage(g, s)
+    if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     if s.bit_count() < 2:
         return MovabilityFailure("singleton")
+    distinct = mode is ReplacementMode.DISTINCT
     moves = []
     for x, y in combinations(vertex_list(s), 2):
-        move = _pair_move(g, s, x, y, mode)
-        if move is None:
+        nx, ny = closed[x], closed[y]
+        lost = once & (nx | ny) | twice & nx & ny
+        if not lost:
+            moves.append(PairMove((x, y)))
+            continue
+        # the first (u, v) whose closed neighbourhoods cover what the pair loses
+        outside_y = g.adj[y] & ~s
+        for u in bits(g.adj[x] & ~s):
+            left = lost & ~closed[u]
+            for v in bits(outside_y):
+                if not left & ~closed[v] and not (distinct and u == v):
+                    break
+            else:
+                continue
+            moves.append(PairMove((x, y), (u, v)))
+            break
+        else:
             return MovabilityFailure("immovable-pair", (x, y))
-        moves.append(move)
     return MovabilityCertificate(2, tuple(moves))
 
 

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -22,6 +22,7 @@ from movdom import (
     star,
     vertex_list,
 )
+from movdom.domination import dominating_samples
 from strategies import graphs, graphs_with_subset
 
 
@@ -143,6 +144,10 @@ class TestSampler:
     def test_longer_run_extends_shorter(self):
         g = cycle(6)
         assert sample_dominating_sets(g, 40, 9)[:15] == sample_dominating_sets(g, 15, 9)
+
+    def test_list_is_a_prefix_of_the_stream(self):
+        g = random_connected_graph(9, 0.3, 1)
+        assert list(islice(dominating_samples(g, 5), 30)) == sample_dominating_sets(g, 30, 5)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -18,10 +18,12 @@ from movdom import (
     enumerate_connected_graphs,
     from_edge_list,
     gamma_m2,
+    is_2movable_dominating,
     is_dominating,
     mask_of,
     path,
     run_all,
+    sample_dominating_sets,
     slice_copy,
     star,
     verify_corollary_3_1,
@@ -150,6 +152,30 @@ class TestLemma35:
         report = verify_lemma_3_5([complete(2)], [complete(1)], samples_per_corona=30, seed=0)
         assert report.passed
         assert report.clause_tally["vacuous_centers"] > 0
+
+    def test_draws_only_as_far_as_either_mode_reads(self, monkeypatch):
+        k, draw_cap = 5, 250
+        drawn = []
+        original = movdom.harness.dominating_samples
+
+        def counting(product, seed):
+            drawn.append([product, 0])
+            for t in original(product, seed):
+                drawn[-1][1] += 1
+                yield t
+
+        monkeypatch.setattr(movdom.harness, "dominating_samples", counting)
+        report = verify_lemma_3_5([path(3), cycle(3)], [complete(2), path(3)], k, seed=0)
+        assert report.passed and len(drawn) == 4
+        for product, count in drawn:
+            stream = sample_dominating_sets(product, draw_cap, 0)
+            # where each mode's k-th certified sample sits in the shared stream
+            kth = [
+                [i for i, t in enumerate(stream) if is_2movable_dominating(product, t, m)][k - 1]
+                for m in ReplacementMode
+            ]
+            # the reader that stops last pulls one draw past its k-th hit
+            assert count == max(kth) + 2 < draw_cap
 
     def test_clause_tally_totals_match_checks(self):
         report = verify_lemma_3_5([path(3)], [complete(2)], samples_per_corona=20, seed=4)

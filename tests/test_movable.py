@@ -2,7 +2,9 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import movdom.movable
 import naive
 from movdom import (
     MalformedCertificateError,
@@ -12,11 +14,13 @@ from movdom import (
     ReplacementMode,
     VertexMove,
     complete,
+    cycle,
     enumerate_connected_graphs,
     from_edge_list,
     gamma,
     gamma_m1,
     gamma_m2,
+    greedy_repair,
     is_1movable_dominating,
     is_2movable_dominating,
     join,
@@ -36,21 +40,26 @@ def _view(g):
     return naive.AdjacencyView(g.n, g.edges())
 
 
-def _brute_certificate(g, s, level, distinct):
-    """A well-shaped certificate for s built move by move, or None.
+def _first_moves(g, s, level, distinct):
+    """Each member (level 1) or pair (level 2) of s with its first working move.
 
-    Each member (level 1) or pair (level 2) gets its first working move:
-    a drop, else the first swap in ascending order.  Whether s itself
-    dominates, or has enough members, is never looked at.
+    The move is () for a drop, the first swap in ascending order, or None
+    when nothing works.  Whether s itself dominates, or has enough
+    members, is never looked at.
     """
     view = _view(g)
     members = vertex_list(s)
-    moves = []
     for group in combinations(members, level):
         rest = set(members) - set(group)
         outside = [sorted(set(view.neighbors(x)) - set(members)) for x in group]
         swaps = [r for r in product(*outside) if not (distinct and len(set(r)) < level)]
-        found = next((r for r in [(), *swaps] if naive.dominates(view, rest | set(r))), None)
+        yield group, next((r for r in [(), *swaps] if naive.dominates(view, rest | set(r))), None)
+
+
+def _brute_certificate(g, s, level, distinct):
+    """A well-shaped certificate for s built move by move, or None."""
+    moves = []
+    for group, found in _first_moves(g, s, level, distinct):
         if found is None:
             return None
         if level == 1:
@@ -58,6 +67,21 @@ def _brute_certificate(g, s, level, distinct):
         else:
             moves.append(PairMove(group, found or None))
     return MovabilityCertificate(level, tuple(moves))
+
+
+def _check(g, s, level, mode):
+    if level == 1:
+        return is_1movable_dominating(g, s)
+    return is_2movable_dominating(g, s, mode)
+
+
+FORGED = [
+    (star(4), mask_of(1, 2), MovabilityCertificate(2, (PairMove((1, 2), (0, 0)),))),
+    (star(4), mask_of(1), MovabilityCertificate(1, (VertexMove(1, 0),))),
+    (complete(2), mask_of(0), MovabilityCertificate(2, ())),
+    (path(2), 0, MovabilityCertificate(1, ())),
+]
+FORGED_IDS = ["non-dominating-pair", "non-dominating-vertex", "singleton", "empty"]
 
 
 class TestOneMovable:
@@ -275,16 +299,7 @@ class TestVerifyCertificate:
         if result.exists:
             assert verify_certificate(g, result.witness, result.certificate, LITERAL)
 
-    @pytest.mark.parametrize(
-        "g, s, cert",
-        [
-            (star(4), mask_of(1, 2), MovabilityCertificate(2, (PairMove((1, 2), (0, 0)),))),
-            (star(4), mask_of(1), MovabilityCertificate(1, (VertexMove(1, 0),))),
-            (complete(2), mask_of(0), MovabilityCertificate(2, ())),
-            (path(2), 0, MovabilityCertificate(1, ())),
-        ],
-        ids=["non-dominating-pair", "non-dominating-vertex", "singleton", "empty"],
-    )
+    @pytest.mark.parametrize("g, s, cert", FORGED, ids=FORGED_IDS)
     def test_forged_certificate_fails(self, g, s, cert):
         # every move holds, but s does not dominate or is too small for the level
         assert not verify_certificate(g, s, cert, LITERAL)
@@ -303,6 +318,27 @@ class TestVerifyCertificate:
         else:
             expected = naive.two_movable(_view(g), members, mode is DISTINCT)
         assert verify_certificate(g, s, cert, mode) == expected
+
+    def test_independent_of_the_predicates_coverage(self, monkeypatch):
+        # the checker must decide every move without the predicates' masks
+        certified = [
+            (g, mode, gamma_m2(g, mode))
+            for g in [path(4), path(8), cycle(9), star(5)]
+            for mode in (LITERAL, DISTINCT)
+        ]
+
+        def unusable(g, s):
+            raise AssertionError("verify_certificate used the predicates' coverage masks")
+
+        monkeypatch.setattr(movdom.movable, "_coverage", unusable)
+        checked = 0
+        for g, mode, result in certified:
+            if result.exists:
+                assert verify_certificate(g, result.witness, result.certificate, mode)
+                checked += 1
+        assert checked == 7
+        for g, s, cert in FORGED:
+            assert not verify_certificate(g, s, cert, LITERAL)
 
     def test_failure_object_is_falsy(self):
         assert not MovabilityFailure("not-dominating")
@@ -325,3 +361,37 @@ class TestOneMovableOracle:
                 fast = bool(is_1movable_dominating(g, s))
                 slow = naive.one_movable(view, set(vertex_list(s)))
                 assert fast == slow, (g, s)
+
+
+class TestExactCertificates:
+    """The predicates' certificates and failures, move by move, against brute force."""
+
+    @pytest.mark.parametrize("level, mode", [(1, LITERAL), (2, LITERAL), (2, DISTINCT)])
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_subset(1, 9), st.booleans())
+    def test_matches_brute_force(self, level, mode, case, repair):
+        # repairing half the draws keeps most of them dominating
+        g, s = case
+        if repair:
+            s = greedy_repair(g, s)
+        if s == 0:
+            with pytest.raises(ValueError, match="empty set"):
+                _check(g, s, level, mode)
+            return
+        outcome = _check(g, s, level, mode)
+        if not naive.dominates(_view(g), set(vertex_list(s))):
+            assert outcome == MovabilityFailure("not-dominating")
+            return
+        if s.bit_count() < level:
+            assert outcome == MovabilityFailure("singleton")
+            return
+        expected = _brute_certificate(g, s, level, mode is DISTINCT)
+        if expected is not None:
+            assert outcome == expected
+            return
+        moves = _first_moves(g, s, level, mode is DISTINCT)
+        stuck = next(group for group, found in moves if found is None)
+        if level == 1:
+            assert outcome == MovabilityFailure("immovable-vertex", stuck[0])
+        else:
+            assert outcome == MovabilityFailure("immovable-pair", stuck)
