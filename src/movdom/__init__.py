@@ -54,6 +54,7 @@ from .harness import (
     verify_theorem_3_6,
 )
 from .movable import (
+    JointResult,
     MalformedCertificateError,
     MovabilityCertificate,
     MovabilityFailure,
@@ -64,6 +65,7 @@ from .movable import (
     gamma_m2,
     is_1movable_dominating,
     is_2movable_dominating,
+    solve_jointly,
     verify_certificate,
 )
 from .products import (

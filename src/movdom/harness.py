@@ -8,7 +8,10 @@ discrepancy: the graphs as edge lists, the sets, and the mode.
 
 All seven claims share one check loop, ``_report``: remark-3.1 and
 theorem-3.2 through ``_enumerated``, the three product formulas through
-``_formula_claim``, and the two sampled corona lemmas directly.
+``_formula_claim``, and the two sampled corona lemmas directly.  Every
+2-movable value comes from ``solve_jointly``, both modes from one scan;
+within one ``run_all`` the two enumerated claims read one table of
+values, filled by one scan per graph.
 
 Claims whose ideal value is a product formula are validated on pools
 where that formula is at least 2 by default, since the 2-movable
@@ -41,7 +44,7 @@ from .graph import (
     path,
     vertex_list,
 )
-from .movable import ReplacementMode, gamma_m1, gamma_m2, is_2movable_dominating
+from .movable import ReplacementMode, is_2movable_dominating, solve_jointly
 from .products import CoronaLayout, corona, join, slice_copy
 
 _MODES = (ReplacementMode.LITERAL, ReplacementMode.DISTINCT)
@@ -101,39 +104,70 @@ def _report(
     )
 
 
-def _enumerated(claim: str, pool, check, prefix: str = "") -> ClaimReport:
-    """Report ``check(g, solved)`` on the connected graphs of order >= 4 in pool.
+_ABSENT = 0xFF  # table byte of an invariant that no set attains
 
-    ``solved`` yields (mode, value) where gamma_m2(g, mode) exists; run to
-    the end, it tallies existence per mode under keys starting with ``prefix``.
+
+class _Enumerated:
+    """The connected graphs of order >= 4 in a pool, solved once for every claim that reads them.
+
+    ``values(i)`` is gamma, gamma_m1 and gamma_m2 in each of ``_MODES`` for
+    ``graphs[i]``, None where absent.  Only values are kept: 4 bytes per
+    graph in one table, filled by one ``solve_jointly`` scan per graph on
+    the first read.
     """
-    supplied = list(pool)
-    graphs = [g for g in supplied if g.n >= 4 and is_connected(g)]
+
+    def __init__(self, pool) -> None:
+        supplied = list(pool)
+        self.supplied = len(supplied)
+        self.graphs = [g for g in supplied if g.n >= 4 and is_connected(g)]
+        self._table: bytearray | None = None
+
+    def values(self, i: int) -> tuple[int | None, ...]:
+        if self._table is None:
+            self._table = bytearray()
+            for g in self.graphs:
+                found = solve_jointly(g, gamma=True, m1=True, modes=_MODES)
+                for result in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)):
+                    self._table.append(_ABSENT if result.value is None else result.value)
+        return tuple(None if b == _ABSENT else b for b in self._table[4 * i : 4 * i + 4])
+
+
+def _enumerated(claim: str, pool, check, prefix: str = "") -> ClaimReport:
+    """Report ``check(g, gamma, gamma_m1, m2)`` on the connected graphs of order >= 4 in pool.
+
+    ``m2`` lists (mode, value) where gamma_m2(g, mode) exists, and existence
+    per mode is tallied under keys starting with ``prefix``.  ``pool`` may
+    be an ``_Enumerated`` that another claim has already solved.
+    """
+    solved = pool if isinstance(pool, _Enumerated) else _Enumerated(pool)
     tally = {f"{prefix}{m.value}_{k}": 0 for m in _MODES for k in ("exists", "missing")}
 
-    def solved(g: Graph):
-        for mode in _MODES:
-            result = gamma_m2(g, mode)
-            tally[f"{prefix}{mode.value}_{'exists' if result.exists else 'missing'}"] += 1
-            if result.exists:
-                yield mode, result.value
+    def check_one(i: int):
+        base, m1, *m2 = solved.values(i)
+        for mode, value in zip(_MODES, m2):
+            tally[f"{prefix}{mode.value}_{'missing' if value is None else 'exists'}"] += 1
+        present = [(mode, value) for mode, value in zip(_MODES, m2) if value is not None]
+        return check(solved.graphs[i], base, m1, present)
 
-    pool_text = f"{len(graphs)} connected graphs of order >= 4 (of {len(supplied)} supplied)"
-    return _report(claim, pool_text, graphs, lambda g: check(g, solved(g)), tally)
+    graphs = solved.graphs
+    pool_text = f"{len(graphs)} connected graphs of order >= 4 (of {solved.supplied} supplied)"
+    return _report(claim, pool_text, range(len(graphs)), check_one, tally)
 
 
 def _formula_claim(claim: str, pool: str, items: list, product, expected, factors) -> ClaimReport:
     """Report ``gamma_m2(product(*item)) == expected(*item)`` in both modes.
 
     An item is a tuple of factor graphs, named by ``factors`` in a
-    counterexample.  The product is built once per item, before ``expected``.
+    counterexample.  The product is built once per item, before ``expected``,
+    and both modes come from one scan.
     """
 
     def check(item):
         built, _ = product(*item)
         want = expected(*item)
+        solved = solve_jointly(built, modes=_MODES).m2
         for mode in _MODES:
-            got = gamma_m2(built, mode).value
+            got = solved[mode].value
             if got != want:
                 yield {
                     **{name: _graph_payload(f) for name, f in zip(factors, item)},
@@ -152,8 +186,8 @@ def verify_remark_3_1(pool) -> ClaimReport:
     at least 4.
     """
 
-    def check(g, solved):
-        for mode, value in solved:
+    def check(g, base, m1, m2):
+        for mode, value in m2:
             if value < 2:
                 yield {
                     "graph": _graph_payload(g),
@@ -172,17 +206,15 @@ def verify_theorem_3_2(pool) -> ClaimReport:
     existence counts are tallied per mode.
     """
 
-    def check(g, solved):
-        base = gamma(g).value
-        m1 = gamma_m1(g)
-        if not m1.exists or base > m1.value:
+    def check(g, base, m1, m2):
+        if m1 is None or base > m1:
             yield {
                 "graph": _graph_payload(g),
                 "inequality": "gamma <= gamma-m1",
                 "gamma": base,
-                "got": _value_payload(m1.value),
+                "got": _value_payload(m1),
             }
-        for mode, value in solved:
+        for mode, value in m2:
             if base > value:
                 yield {
                     "graph": _graph_payload(g),
@@ -330,9 +362,10 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int = 50, seed: int = 0
         # Both modes read the same draws; tee draws each only once, as far
         # as the longer reader goes.
         streams = tee(islice(dominating_samples(product, seed), draw_cap), len(_MODES))
+        solved = solve_jointly(product, modes=_MODES).m2
         for m, stream in zip(_MODES, streams):
             to_check: list[VertexSet] = []
-            witness = gamma_m2(product, m).witness
+            witness = solved[m].witness
             if witness is not None:
                 to_check.append(witness)
                 tally["witnesses"] += 1
@@ -404,32 +437,36 @@ def _capped(pool: list[Graph], budget: BudgetConfig) -> list[Graph]:
     return [g for g in pool if g.n <= budget.max_order]
 
 
-def default_pools(budget: BudgetConfig) -> dict:
-    """The curated default instance pools for run_all, order-capped by budget."""
-    orders = range(4, budget.max_order + 1)
-    return {
-        "enumerated": [g for n in orders for g in enumerate_connected_graphs(n)],
-        "join": _capped([complete(2), path(3), cycle(3), path(4), cycle(4)], budget),
-        "corona_g": _capped([complete(2), path(3), cycle(3)], budget),
-        "corona_h": _capped([complete(1), complete(2), path(3), complete(3)], budget),
-        "corollary_h": _capped([path(4), cycle(4), path(5), cycle(5)], budget),
-    }
+_POOLS = {
+    "enumerated": lambda budget: [
+        g for n in range(4, budget.max_order + 1) for g in enumerate_connected_graphs(n)
+    ],
+    "join": lambda budget: _capped([complete(2), path(3), cycle(3), path(4), cycle(4)], budget),
+    "corona_g": lambda budget: _capped([complete(2), path(3), cycle(3)], budget),
+    "corona_h": lambda budget: _capped([complete(1), complete(2), path(3), complete(3)], budget),
+    "corollary_h": lambda budget: _capped([path(4), cycle(4), path(5), cycle(5)], budget),
+}
 
 
-# Claims in canonical order.  The runners look verify_* up at call time,
-# so a wrapper put on the module attribute is the one that runs.
+def default_pools(budget: BudgetConfig, names=None) -> dict:
+    """The curated default instance pools for run_all, order-capped by budget.
+
+    ``names`` picks the pools to build; None builds all of them.
+    """
+    return {name: build(budget) for name, build in _POOLS.items() if names is None or name in names}
+
+
+# Claims in canonical order: (runner, pools read, budget fields passed).
+# run_all looks the runner up at call time, so a wrapper put on the module
+# attribute is the one that runs.
 _RUNNERS = {
-    "remark-3.1": lambda pools, budget: verify_remark_3_1(pools["enumerated"]),
-    "theorem-3.2": lambda pools, budget: verify_theorem_3_2(pools["enumerated"]),
-    "theorem-3.3": lambda pools, budget: verify_theorem_3_3(pools["join"], pools["join"]),
-    "theorem-3.6": lambda pools, budget: verify_theorem_3_6(pools["corona_g"], pools["corona_h"]),
-    "corollary-3.1": lambda pools, budget: verify_corollary_3_1(pools["corollary_h"]),
-    "lemma-3.4": lambda pools, budget: verify_lemma_3_4(
-        pools["corona_g"], pools["corona_h"], budget.samples, budget.seed
-    ),
-    "lemma-3.5": lambda pools, budget: verify_lemma_3_5(
-        pools["corona_g"], pools["corona_h"], budget.movable_samples, budget.seed
-    ),
+    "remark-3.1": ("verify_remark_3_1", ("enumerated",), ()),
+    "theorem-3.2": ("verify_theorem_3_2", ("enumerated",), ()),
+    "theorem-3.3": ("verify_theorem_3_3", ("join", "join"), ()),
+    "theorem-3.6": ("verify_theorem_3_6", ("corona_g", "corona_h"), ()),
+    "corollary-3.1": ("verify_corollary_3_1", ("corollary_h",), ()),
+    "lemma-3.4": ("verify_lemma_3_4", ("corona_g", "corona_h"), ("samples", "seed")),
+    "lemma-3.5": ("verify_lemma_3_5", ("corona_g", "corona_h"), ("movable_samples", "seed")),
 }
 
 CLAIM_IDS = tuple(_RUNNERS)
@@ -439,7 +476,10 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
     """Validate claims on their default pools, one report per claim.
 
     ``claims`` selects a subset by id; None runs all seven, always in
-    canonical order.
+    canonical order.  Only the pools the selected claims read are built,
+    and each is dropped after the last claim that reads it.  remark-3.1
+    and theorem-3.2 share one ``_Enumerated``: one connectivity filter and
+    one scan per graph.
     """
     budget = budget or BudgetConfig()
     if claims is not None:
@@ -447,5 +487,16 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
         if unknown:
             raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
     selected = CLAIM_IDS if claims is None else tuple(c for c in CLAIM_IDS if c in set(claims))
-    pools = default_pools(budget)
-    return [_RUNNERS[c](pools, budget) for c in selected]
+    pools = default_pools(budget, {p for c in selected for p in _RUNNERS[c][1]})
+    if "enumerated" in pools:
+        pools["enumerated"] = _Enumerated(pools["enumerated"])
+    reports = []
+    for at, claim in enumerate(selected):
+        runner, pool_names, fields = _RUNNERS[claim]
+        args = [pools[p] for p in pool_names] + [getattr(budget, f) for f in fields]
+        reports.append(globals()[runner](*args))
+        # kept to the end, the enumerated graphs and their table stayed live
+        # under the lemma claims and raised verify's peak RSS by about 1 MB
+        for p in set(pools) - {p for c in selected[at + 1 :] for p in _RUNNERS[c][1]}:
+            del pools[p]
+    return reports

@@ -21,3 +21,12 @@ def graphs_with_subset(draw, min_n: int = 1, max_n: int = 6):
     """A graph plus a vertex-set mask over it."""
     g = draw(graphs(min_n, max_n))
     return g, draw(st.integers(0, g.full_mask))
+
+
+@st.composite
+def graphs_with_leaves(draw, max_n: int = 9) -> Graph:
+    """An arbitrary graph with at least one pendant vertex attached, max_n vertices in all."""
+    base = draw(graphs(1, max_n - 1))
+    supports = draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=max_n - base.n))
+    leaves = [(s, base.n + i) for i, s in enumerate(supports)]
+    return from_edge_list(base.n + len(supports), [*base.edges(), *leaves])

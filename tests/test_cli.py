@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import movdom.harness
-from movdom import SolverResult, format_edge_list, mask_of, path
+from movdom import JointResult, SolverResult, format_edge_list, mask_of, path
 from movdom.cli import main
 
 
@@ -281,6 +281,14 @@ class TestVerify:
             "f687b4d37499380ca345c694812f74e4264cc4a711c867f6003dc8e223c35f16"
         )
 
+    def test_json_bytes_pinned_order_6(self, capsys):
+        # Order 6 holds most of the enumerated graphs, which order 5 never reaches.
+        code, out, _ = run_cli(["verify", "--json", "--max-order", "6", "--seed", "7"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2df3079dbe8901b8cbe57925374f4e17258cf0524fb67d52dc6e14839fd3b9a2"
+        )
+
     @pytest.mark.parametrize(
         "budget",
         [["--max-order", "9"], ["--max-order", "-1"], ["--samples", "-5", "--claim", "theorem-3.3"]],
@@ -300,8 +308,11 @@ class TestVerify:
         assert code == 1
 
     def test_claim_failure_exit_code(self, capsys, monkeypatch):
+        wrong = SolverResult(9, mask_of(0, 1))
         monkeypatch.setattr(
-            movdom.harness, "gamma_m2", lambda g, mode: SolverResult(9, mask_of(0, 1))
+            movdom.harness,
+            "solve_jointly",
+            lambda g, modes: JointResult(None, None, {m: wrong for m in modes}),
         )
         code, out, _ = run_cli(["verify", "--claim", "theorem-3.3", "--max-order", "4"], capsys)
         assert code == 3

@@ -25,6 +25,7 @@ from movdom import (
     run_all,
     sample_dominating_sets,
     slice_copy,
+    solve_jointly,
     star,
     verify_corollary_3_1,
     verify_lemma_3_4,
@@ -187,32 +188,36 @@ def _graph(g):
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-def _corrupt(mode, result):
-    """gamma_m2 that returns result in mode and the true value otherwise."""
-    return lambda g, m: result if m is mode else gamma_m2(g, m)
+def _corrupt(mode=None, result=None, m1=None):
+    """solve_jointly that returns result for gamma_m2 in mode (every mode when
+    mode is None), m1 for gamma_m1 if given, and the true results otherwise."""
+
+    def fake(g, **asked):
+        true = solve_jointly(g, **asked)
+        wrong = {m: result for m in true.m2 if mode in (None, m)} if result else {}
+        return true._replace(m1=m1 or true.m1, m2={**true.m2, **wrong})
+
+    return fake
 
 
 NONE = SolverResult(None, None)
 TOO_SMALL = SolverResult(1, mask_of(0))
 LITERAL, DISTINCT = ReplacementMode.LITERAL, ReplacementMode.DISTINCT
 
-# (solver patched on movdom.harness, fake, claim run, first counterexample);
-# every pool has two admissible instances.
+# (fake solve_jointly patched on movdom.harness, claim run, first
+# counterexample); every pool has two admissible instances.
 FOLDED_CLAIMS = {
     "remark-3.1": (
-        "gamma_m2",
         _corrupt(DISTINCT, TOO_SMALL),
         lambda: verify_remark_3_1([path(4), cycle(4)]),
         {"graph": _graph(path(4)), "mode": "distinct", "expected": ">= 2", "got": 1},
     ),
     "theorem-3.2/gamma-m1": (
-        "gamma_m1",
-        lambda g: NONE,
+        _corrupt(m1=NONE),
         lambda: verify_theorem_3_2([path(4), cycle(4)]),
         {"graph": _graph(path(4)), "inequality": "gamma <= gamma-m1", "gamma": 2, "got": "none"},
     ),
     "theorem-3.2/gamma-m2": (
-        "gamma_m2",
         _corrupt(DISTINCT, TOO_SMALL),
         lambda: verify_theorem_3_2([path(4), cycle(4)]),
         {
@@ -224,7 +229,6 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.3": (
-        "gamma_m2",
         _corrupt(DISTINCT, NONE),
         lambda: verify_theorem_3_3([complete(2)], [complete(2), path(3)]),
         {
@@ -236,7 +240,6 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.6": (
-        "gamma_m2",
         _corrupt(LITERAL, SolverResult(7, mask_of(0))),
         lambda: verify_theorem_3_6([complete(2)], [complete(1), path(3)]),
         {
@@ -248,7 +251,6 @@ FOLDED_CLAIMS = {
         },
     ),
     "corollary-3.1": (
-        "gamma_m2",
         _corrupt(DISTINCT, NONE),
         lambda: verify_corollary_3_1([cycle(4), path(5)]),
         {"h": _graph(cycle(4)), "mode": "distinct", "expected": 2, "got": "none"},
@@ -258,10 +260,9 @@ FOLDED_CLAIMS = {
 
 class TestCorruptedSolverSensitivity:
     def test_theorem_3_3_detects_and_replays(self, monkeypatch):
-        def corrupted(g, mode=ReplacementMode.LITERAL):
-            return SolverResult(3, mask_of(0, 1, 2))
-
-        monkeypatch.setattr(movdom.harness, "gamma_m2", corrupted)
+        monkeypatch.setattr(
+            movdom.harness, "solve_jointly", _corrupt(result=SolverResult(3, mask_of(0, 1, 2)))
+        )
         report = verify_theorem_3_3([complete(2)], [complete(2)])
         assert not report.passed
         ce = report.counterexample
@@ -280,25 +281,21 @@ class TestCorruptedSolverSensitivity:
         assert gamma_m2(product, ReplacementMode(ce["mode"])).value == ce["expected"]
 
     def test_remark_detects_corrupted_floor(self, monkeypatch):
-        monkeypatch.setattr(
-            movdom.harness, "gamma_m2", lambda g, mode: SolverResult(1, mask_of(0))
-        )
+        monkeypatch.setattr(movdom.harness, "solve_jointly", _corrupt(result=TOO_SMALL))
         report = verify_remark_3_1([path(4)])
         assert not report.passed
         assert report.counterexample["got"] == 1
 
     @pytest.mark.parametrize("case", FOLDED_CLAIMS)
     def test_folded_claim_counterexample(self, case, monkeypatch):
-        name, fake, run, counterexample = FOLDED_CLAIMS[case]
-        monkeypatch.setattr(movdom.harness, name, fake)
-        m2 = movdom.harness.gamma_m2
+        fake, run, counterexample = FOLDED_CLAIMS[case]
         modes = []
 
-        def counted(g, mode):
-            modes.append(mode)
-            return m2(g, mode)
+        def counted(g, **asked):
+            modes.extend(asked["modes"])
+            return fake(g, **asked)
 
-        monkeypatch.setattr(movdom.harness, "gamma_m2", counted)
+        monkeypatch.setattr(movdom.harness, "solve_jointly", counted)
         report = run()
         assert report.status == "fail"
         assert report.counterexample == counterexample
@@ -407,6 +404,39 @@ class TestRunAll:
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="unknown claim"):
             run_all(claims=["theorem-9.9"])
+
+    def test_single_enumerated_claim_reports_as_in_full_run(self):
+        budget = BudgetConfig(max_order=5, samples=5, movable_samples=5)
+        full = {r.claim: r for r in run_all(budget)}
+        for claim in ("remark-3.1", "theorem-3.2"):
+            (alone,) = run_all(budget, claims=[claim])
+            assert alone == full[claim]
+
+    def test_enumerated_claims_share_one_filter_and_scan(self, monkeypatch):
+        connected, solved = [], []
+        is_connected, solve = movdom.harness.is_connected, movdom.harness.solve_jointly
+
+        def counted_connected(g):
+            connected.append(g)
+            return is_connected(g)
+
+        def counted_solve(g, **asked):
+            solved.append(g)
+            return solve(g, **asked)
+
+        monkeypatch.setattr(movdom.harness, "is_connected", counted_connected)
+        monkeypatch.setattr(movdom.harness, "solve_jointly", counted_solve)
+        reports = run_all(BudgetConfig(max_order=4), claims=["remark-3.1", "theorem-3.2"])
+        assert [r.instances for r in reports] == [38, 38]
+        assert connected == solved == list(enumerate_connected_graphs(4))
+
+    def test_unread_pool_not_enumerated(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("enumerated a pool no selected claim reads")
+
+        monkeypatch.setattr(movdom.harness, "enumerate_connected_graphs", refuse)
+        (report,) = run_all(BudgetConfig(max_order=6, samples=5), claims=["lemma-3.4"])
+        assert report.passed and report.instances > 0
 
     def test_deterministic_reports(self):
         budget = BudgetConfig(max_order=4, samples=15, movable_samples=10, seed=7)

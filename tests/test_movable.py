@@ -13,8 +13,11 @@ from movdom import (
     PairMove,
     ReplacementMode,
     VertexMove,
+    SolverResult,
     complete,
     cycle,
+    dominating_sets,
+    domination_lower_bound,
     enumerate_connected_graphs,
     from_edge_list,
     gamma,
@@ -26,11 +29,12 @@ from movdom import (
     join,
     mask_of,
     path,
+    solve_jointly,
     star,
     vertex_list,
     verify_certificate,
 )
-from strategies import graphs, graphs_with_subset
+from strategies import graphs, graphs_with_leaves, graphs_with_subset
 
 LITERAL = ReplacementMode.LITERAL
 DISTINCT = ReplacementMode.DISTINCT
@@ -252,6 +256,84 @@ class TestSolvers:
                 m2 = gamma_m2(g, mode)
                 if m2.exists:
                     assert verify_certificate(g, m2.witness, m2.certificate, mode)
+
+
+def _loop_gamma_m1(g):
+    """gamma_m1 as its own scan loop, kept from before the joint scan."""
+    for mask in dominating_sets(g, domination_lower_bound(g)):
+        cert = is_1movable_dominating(g, mask)
+        if cert:
+            return SolverResult(mask.bit_count(), mask, cert)
+    return SolverResult(None, None)
+
+
+def _loop_gamma_m2(g, mode):
+    """gamma_m2 as its own scan loop, kept from before the joint scan."""
+    for mask in dominating_sets(g, max(2, domination_lower_bound(g))):
+        cert = is_2movable_dominating(g, mask, mode)
+        if cert:
+            return SolverResult(mask.bit_count(), mask, cert)
+    return SolverResult(None, None)
+
+
+class TestJointScan:
+    def _matches_loops_and_naive(self, g):
+        joint = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT))
+        loops = {LITERAL: _loop_gamma_m2(g, LITERAL), DISTINCT: _loop_gamma_m2(g, DISTINCT)}
+        # value, witness and certificate, from the joint call and the one-invariant wrappers
+        assert joint.gamma == gamma(g)
+        assert joint.m1 == gamma_m1(g) == _loop_gamma_m1(g)
+        assert joint.m2 == loops
+        for mode in (LITERAL, DISTINCT):
+            alone = solve_jointly(g, gamma=True, modes=(mode,))
+            assert alone.gamma == joint.gamma and alone.m2 == {mode: loops[mode]}
+            assert gamma_m2(g, mode) == loops[mode]
+        view = _view(g)
+        naive_results = [
+            (joint.gamma, naive.naive_gamma(view)),
+            (joint.m1, naive.naive_gamma_m1(view)),
+            *((joint.m2[m], naive.naive_gamma_m2(view, m is DISTINCT)) for m in loops),
+        ]
+        for result, (value, witness) in naive_results:
+            assert result.value == value
+            assert (vertex_list(result.witness) if result.exists else None) == (
+                None if witness is None else list(witness)
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=9))
+    def test_matches_loops_and_naive(self, g):
+        self._matches_loops_and_naive(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_leaves(9))
+    def test_matches_loops_and_naive_with_leaves(self, g):
+        self._matches_loops_and_naive(g)
+
+    def test_only_requested_results(self):
+        assert solve_jointly(path(4)) == movdom.movable.JointResult(None, None, {})
+        found = solve_jointly(path(4), modes=(DISTINCT,))
+        assert found.gamma is found.m1 is None and list(found.m2) == [DISTINCT]
+
+    def test_distinct_tested_from_literal_witness_on(self, monkeypatch):
+        checked = []
+        predicate = movdom.movable.is_2movable_dominating
+
+        def recording(g, s, mode):
+            checked.append((s, mode))
+            return predicate(g, s, mode)
+
+        monkeypatch.setattr(movdom.movable, "is_2movable_dominating", recording)
+        for g in enumerate_connected_graphs(5):
+            checked.clear()
+            found = solve_jointly(g, modes=(DISTINCT, LITERAL)).m2
+            literal = [s for s, m in checked if m is LITERAL]
+            distinct = [s for s, m in checked if m is DISTINCT]
+            # LITERAL up to its witness, DISTINCT from there to its own witness or the end
+            assert literal[-1] == found[LITERAL].witness
+            assert distinct[0] == found[LITERAL].witness
+            assert distinct[-1] == found[DISTINCT].witness or not found[DISTINCT].exists
+            assert checked.index((distinct[0], DISTINCT)) == len(literal)
 
 
 class TestVerifyCertificate:
