@@ -113,13 +113,14 @@ class _Enumerated:
     ``values(i)`` is gamma, gamma_m1 and gamma_m2 in each of ``_MODES`` for
     ``graphs[i]``, None where absent.  Only values are kept: 4 bytes per
     graph in one table, filled by one ``solve_jointly`` scan per graph on
-    the first read.
+    the first read.  ``known_connected`` skips the connectivity test, for a
+    pool from ``enumerate_connected_graphs``.
     """
 
-    def __init__(self, pool) -> None:
+    def __init__(self, pool, known_connected: bool = False) -> None:
         supplied = list(pool)
         self.supplied = len(supplied)
-        self.graphs = [g for g in supplied if g.n >= 4 and is_connected(g)]
+        self.graphs = [g for g in supplied if g.n >= 4 and (known_connected or is_connected(g))]
         self._table: bytearray | None = None
 
     def values(self, i: int) -> tuple[int | None, ...]:
@@ -478,8 +479,8 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
     ``claims`` selects a subset by id; None runs all seven, always in
     canonical order.  Only the pools the selected claims read are built,
     and each is dropped after the last claim that reads it.  remark-3.1
-    and theorem-3.2 share one ``_Enumerated``: one connectivity filter and
-    one scan per graph.
+    and theorem-3.2 share one ``_Enumerated``: one scan per graph, and no
+    connectivity filter, since the default pool is enumerated connected.
     """
     budget = budget or BudgetConfig()
     if claims is not None:
@@ -489,7 +490,7 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
     selected = CLAIM_IDS if claims is None else tuple(c for c in CLAIM_IDS if c in set(claims))
     pools = default_pools(budget, {p for c in selected for p in _RUNNERS[c][1]})
     if "enumerated" in pools:
-        pools["enumerated"] = _Enumerated(pools["enumerated"])
+        pools["enumerated"] = _Enumerated(pools["enumerated"], known_connected=True)
     reports = []
     for at, claim in enumerate(selected):
         runner, pool_names, fields = _RUNNERS[claim]

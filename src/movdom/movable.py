@@ -40,6 +40,13 @@ from that set onwards, and its witness is still the first DISTINCT-movable
 set in scan order.  (On all 27,470 labeled connected graphs of order 4-6
 a LITERAL witness exists; each of the 1,875 with no DISTINCT witness has
 a leaf.)
+
+The scan skips the 2-movable tests of every set that holds a leaf l and
+its one neighbour s (the leaf rule).  No such set is 2-movable in either
+mode: dropping the pair {l, s} leaves l uncovered, and l has no neighbour
+outside the set to swap to.  A skipped set would fail its test anyway, so
+every value, least witness and certificate stays the same; gamma and
+gamma_m1 still see every set.
 """
 
 from __future__ import annotations
@@ -244,9 +251,11 @@ def solve_jointly(
     otherwise.  Each movable invariant's witness is the first set in scan
     order that passes its predicate.  When both modes are asked for,
     DISTINCT is tested only from the LITERAL witness onwards (see the
-    module docstring).  The scan stops once every requested invariant has
-    a witness, and reports absence for any that has none after the whole
-    vertex set.
+    module docstring).  A set holding a leaf and its one neighbour is not
+    tested for 2-movability in any mode: dropping that pair uncovers the
+    leaf, which has no outside neighbour to swap to.  The scan stops once
+    every requested invariant has a witness, and reports absence for any
+    that has none after the whole vertex set.
     """
     check_solver_order(g.n)
     lowest = domination_lower_bound(g)
@@ -254,6 +263,8 @@ def solve_jointly(
     # the modes still without a witness, LITERAL first; only the head is tested
     pending = [m for m in _LITERAL_FIRST if m in modes]
     found = {}
+    # N[l] = {l, s} of each leaf l: no set holding one whole is 2-movable
+    leaf_pairs = {1 << v | g.adj[v] for v in range(g.n) if g.adj[v].bit_count() == 1}
     for mask in dominating_sets(g, lowest if gamma or m1 else max(2, lowest)):
         if first is None:
             first = mask
@@ -261,11 +272,12 @@ def solve_jointly(
             cert = is_1movable_dominating(g, mask)
             if cert:
                 m1_found = SolverResult(mask.bit_count(), mask, cert)
-        while pending and mask.bit_count() >= 2:
-            cert = is_2movable_dominating(g, mask, pending[0])
-            if not cert:
-                break
-            found[pending.pop(0)] = SolverResult(mask.bit_count(), mask, cert)
+        if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in leaf_pairs):
+            while pending:
+                cert = is_2movable_dominating(g, mask, pending[0])
+                if not cert:
+                    break
+                found[pending.pop(0)] = SolverResult(mask.bit_count(), mask, cert)
         if not pending and (m1_found or not m1):
             break
     return JointResult(
@@ -284,7 +296,8 @@ def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> Solve
     """Exact 2-movable domination number under the given replacement mode.
 
     Checks every dominating set with at least two members, smallest
-    first, up to the whole vertex set: 2-movability is not closed under
+    first, up to the whole vertex set, except those the leaf rule (module
+    docstring) already rules out: 2-movability is not closed under
     supersets, so no cardinality can be skipped once one fails.  Returns
     absence when none qualifies.  ``solve_jointly`` gives both modes from
     one scan, with the same witnesses: the DISTINCT witness never comes

@@ -69,6 +69,7 @@ class TestRemark31:
     def test_filters_small_and_disconnected(self):
         report = verify_remark_3_1([path(3), from_edge_list(4, [(0, 1)])])
         assert report.instances == 0
+        assert report.pool == "0 connected graphs of order >= 4 (of 2 supplied)"
 
 
 class TestTheorem32:
@@ -412,7 +413,7 @@ class TestRunAll:
             (alone,) = run_all(budget, claims=[claim])
             assert alone == full[claim]
 
-    def test_enumerated_claims_share_one_filter_and_scan(self, monkeypatch):
+    def test_enumerated_claims_share_one_scan(self, monkeypatch):
         connected, solved = [], []
         is_connected, solve = movdom.harness.is_connected, movdom.harness.solve_jointly
 
@@ -428,7 +429,10 @@ class TestRunAll:
         monkeypatch.setattr(movdom.harness, "solve_jointly", counted_solve)
         reports = run_all(BudgetConfig(max_order=4), claims=["remark-3.1", "theorem-3.2"])
         assert [r.instances for r in reports] == [38, 38]
-        assert connected == solved == list(enumerate_connected_graphs(4))
+        assert reports[0].pool == "38 connected graphs of order >= 4 (of 38 supplied)"
+        # the default pool is enumerated connected, so it is not tested again
+        assert connected == []
+        assert solved == list(enumerate_connected_graphs(4))
 
     def test_unread_pool_not_enumerated(self, monkeypatch):
         def refuse(n):

@@ -29,6 +29,7 @@ from movdom import (
     join,
     mask_of,
     path,
+    random_connected_graph,
     solve_jointly,
     star,
     vertex_list,
@@ -334,6 +335,77 @@ class TestJointScan:
             assert distinct[0] == found[LITERAL].witness
             assert distinct[-1] == found[DISTINCT].witness or not found[DISTINCT].exists
             assert checked.index((distinct[0], DISTINCT)) == len(literal)
+
+
+def _leaf_pairs(g):
+    """The mask of {l, s} for each leaf l and its one neighbour s."""
+    return [
+        mask_of(v, *vertex_list(g.adj[v])) for v in range(g.n) if len(vertex_list(g.adj[v])) == 1
+    ]
+
+
+def _holds_leaf_pair(s, pairs):
+    return any(s & pair == pair for pair in pairs)
+
+
+class TestLeafRule:
+    """No set holding a leaf and its support is 2-movable, so the scan never tests one."""
+
+    def _no_set_with_leaf_pair_is_2movable(self, g):
+        pairs, view = _leaf_pairs(g), _view(g)
+        for s in dominating_sets(g, 2):
+            if not _holds_leaf_pair(s, pairs):
+                continue
+            for mode in (LITERAL, DISTINCT):
+                failure = is_2movable_dominating(g, s, mode)
+                assert isinstance(failure, MovabilityFailure)
+                assert failure.reason == "immovable-pair"
+                assert not naive.two_movable(view, vertex_list(s), mode is DISTINCT)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lemma_on_connected_graphs(self, n):
+        for g in enumerate_connected_graphs(n):
+            self._no_set_with_leaf_pair_is_2movable(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_leaves(9))
+    def test_lemma_with_leaves(self, g):
+        self._no_set_with_leaf_pair_is_2movable(g)
+
+    def test_lemma_on_k2(self):
+        # both vertices are leaves, each the other's support
+        assert _leaf_pairs(complete(2)) == [mask_of(0, 1)] * 2
+        self._no_set_with_leaf_pair_is_2movable(complete(2))
+
+    @staticmethod
+    def _checked_sets(solver, g, *args, **kwargs):
+        """What ``solver(g, ...)`` returns, and the sets it hands to is_2movable_dominating."""
+        checked = []
+        predicate = movdom.movable.is_2movable_dominating
+
+        def recording(g, s, mode):
+            checked.append(s)
+            return predicate(g, s, mode)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(movdom.movable, "is_2movable_dominating", recording)
+            return solver(g, *args, **kwargs), checked
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_leaves(9))
+    def test_scan_skips_sets_with_leaf_pair(self, g):
+        _, checked = self._checked_sets(
+            solve_jointly, g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)
+        )
+        pairs = _leaf_pairs(g)
+        assert not any(_holds_leaf_pair(s, pairs) for s in checked)
+
+    def test_scan_check_count_without_witness(self):
+        # no DISTINCT witness, so the scan runs to n over 3,673 dominating
+        # sets, of which 630 hold no leaf-support pair
+        found, checked = self._checked_sets(gamma_m2, random_connected_graph(14, 0.15, 3), DISTINCT)
+        assert not found.exists
+        assert len(checked) == 630
 
 
 class TestVerifyCertificate:
