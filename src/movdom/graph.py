@@ -11,8 +11,9 @@ from __future__ import annotations
 import heapq
 import random
 import re
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 VertexSet = int  # bitmask over vertices 0..n-1
@@ -214,27 +215,68 @@ def is_connected(g: Graph) -> bool:
         visited = grown
 
 
-def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled connected simple graph on n vertices, exactly once.
+_UNMARKED, _DISCONNECTED = -1, -2  # mark-table entries that are not class indices
 
-    Order is deterministic: ascending edge-mask, where bit i of the mask
-    selects the i-th pair of combinations(range(n), 2).  No isomorphism
-    reduction is attempted.  Supported for 1 <= n <= 6.
+
+def enumerate_classified_graphs(n: int) -> Iterator[tuple[Graph, int]]:
+    """Every labeled connected graph on n vertices with its isomorphism class index.
+
+    Graphs come in the order of ``enumerate_connected_graphs``.  Classes
+    are numbered 0, 1, ... in the order their first member appears, so a
+    new index is always one more than the last new one.  The first
+    member of a class is found connected once; all n! vertex
+    permutations, as maps on edge indices, then mark its whole orbit of
+    edge masks, and a disconnected orbit is marked the same way, so
+    ``is_connected`` runs once per class of graphs on n vertices.
+    Supported for 1 <= n <= 6.
     """
     if not 1 <= n <= ENUMERATION_MAX_ORDER:
         raise ValueError(
             f"enumeration supports 1 <= n <= {ENUMERATION_MAX_ORDER}, got {n}"
         )
     pairs = list(combinations(range(n), 2))
-    for edge_mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if edge_mask >> i & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        g = Graph(n, tuple(adj))
-        if is_connected(g):
-            yield g
+    edge_bit = {p: 1 << i for i, p in enumerate(pairs)}
+    # images[p][i]: the edge bit that pair i goes to under permutation p
+    images = [
+        [edge_bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+        for p in permutations(range(n))
+    ]
+    marks = array("h", [_UNMARKED]) * (1 << len(pairs))
+    classes = 0
+    for edge_mask in range(len(marks)):
+        if marks[edge_mask] == _UNMARKED:
+            g = _graph_of(n, pairs, edge_mask)
+            mark = _DISCONNECTED
+            if is_connected(g):
+                mark, classes = classes, classes + 1
+            members = list(bits(edge_mask))
+            for image in images:
+                marks[sum(map(image.__getitem__, members))] = mark
+            if mark != _DISCONNECTED:
+                yield g, mark
+        elif marks[edge_mask] != _DISCONNECTED:
+            yield _graph_of(n, pairs, edge_mask), marks[edge_mask]
+
+
+def _graph_of(n: int, pairs: list[tuple[int, int]], edge_mask: int) -> Graph:
+    adj = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if edge_mask >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled connected simple graph on n vertices, exactly once.
+
+    Order is deterministic: ascending edge-mask, where bit i of the mask
+    selects the i-th pair of combinations(range(n), 2).  These are the
+    graphs of ``enumerate_classified_graphs`` without their class
+    indices.  Supported for 1 <= n <= 6.
+    """
+    for g, _ in enumerate_classified_graphs(n):
+        yield g
 
 
 _REJECTION_LIMIT = 100

@@ -11,7 +11,9 @@ theorem-3.2 through ``_enumerated``, the three product formulas through
 ``_formula_claim``, and the two sampled corona lemmas directly.  Every
 2-movable value comes from ``solve_jointly``, both modes from one scan;
 within one ``run_all`` the two enumerated claims read one table of
-values, filled by one scan per graph.
+values, filled by one scan per isomorphism class of the labeled graphs
+(the invariants are isomorphism invariants).  Instance counts, tallies
+and counterexamples still count and name labeled graphs.
 
 Claims whose ideal value is a product formula are validated on pools
 where that formula is at least 2 by default, since the 2-movable
@@ -20,6 +22,7 @@ invariant can never be smaller; callers may pass any pool they like.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice, tee
@@ -39,7 +42,7 @@ from .graph import (
     closed_neighborhood,
     complete,
     cycle,
-    enumerate_connected_graphs,
+    enumerate_classified_graphs,
     is_connected,
     path,
     vertex_list,
@@ -108,29 +111,55 @@ _ABSENT = 0xFF  # table byte of an invariant that no set attains
 
 
 class _Enumerated:
-    """The connected graphs of order >= 4 in a pool, solved once for every claim that reads them.
+    """The connected graphs of order >= 4 in a pool, solved once per class for every claim.
 
-    ``values(i)`` is gamma, gamma_m1 and gamma_m2 in each of ``_MODES`` for
-    ``graphs[i]``, None where absent.  Only values are kept: 4 bytes per
-    graph in one table, filled by one ``solve_jointly`` scan per graph on
-    the first read.  ``known_connected`` skips the connectivity test, for a
-    pool from ``enumerate_connected_graphs``.
+    ``classes[i]`` is the class of ``graphs[i]``; classes are numbered
+    0, 1, ... in the order their first graph appears, and every graph of a
+    class has the same gamma, gamma_m1 and gamma_m2.  ``values(i)`` is
+    those invariants for ``graphs[i]``, with gamma_m2 in each of
+    ``_MODES`` and None where absent.  Only values are kept: a 4-byte row
+    per class in one table, filled by one ``solve_jointly`` scan of each
+    class's first graph on the first read.  ``supplied`` counts the graphs
+    the pool held before any filter.
     """
 
-    def __init__(self, pool, known_connected: bool = False) -> None:
-        supplied = list(pool)
-        self.supplied = len(supplied)
-        self.graphs = [g for g in supplied if g.n >= 4 and (known_connected or is_connected(g))]
+    def __init__(self, graphs: list[Graph], classes, supplied: int) -> None:
+        self.graphs = graphs
+        self.classes = classes
+        self.supplied = supplied
         self._table: bytearray | None = None
+
+    @classmethod
+    def supplied_pool(cls, pool) -> _Enumerated:
+        """A pool of any graphs: its connected ones of order >= 4, each in a class of its own."""
+        supplied = list(pool)
+        graphs = [g for g in supplied if g.n >= 4 and is_connected(g)]
+        return cls(graphs, range(len(graphs)), len(supplied))
+
+    @classmethod
+    def labeled(cls, max_order: int) -> _Enumerated:
+        """Every labeled connected graph of order 4 to max_order, classes numbered across orders."""
+        graphs: list[Graph] = []
+        classes = array("H")
+        count = 0
+        for n in range(4, max_order + 1):
+            offset = count
+            for g, c in enumerate_classified_graphs(n):
+                graphs.append(g)
+                classes.append(offset + c)
+                count = max(count, offset + c + 1)
+        return cls(graphs, classes, len(graphs))
 
     def values(self, i: int) -> tuple[int | None, ...]:
         if self._table is None:
             self._table = bytearray()
-            for g in self.graphs:
-                found = solve_jointly(g, gamma=True, m1=True, modes=_MODES)
-                for result in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)):
-                    self._table.append(_ABSENT if result.value is None else result.value)
-        return tuple(None if b == _ABSENT else b for b in self._table[4 * i : 4 * i + 4])
+            for g, c in zip(self.graphs, self.classes):
+                if 4 * c == len(self._table):
+                    found = solve_jointly(g, gamma=True, m1=True, modes=_MODES)
+                    for result in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)):
+                        self._table.append(_ABSENT if result.value is None else result.value)
+        row = 4 * self.classes[i]
+        return tuple(None if b == _ABSENT else b for b in self._table[row : row + 4])
 
 
 def _enumerated(claim: str, pool, check, prefix: str = "") -> ClaimReport:
@@ -140,7 +169,7 @@ def _enumerated(claim: str, pool, check, prefix: str = "") -> ClaimReport:
     per mode is tallied under keys starting with ``prefix``.  ``pool`` may
     be an ``_Enumerated`` that another claim has already solved.
     """
-    solved = pool if isinstance(pool, _Enumerated) else _Enumerated(pool)
+    solved = pool if isinstance(pool, _Enumerated) else _Enumerated.supplied_pool(pool)
     tally = {f"{prefix}{m.value}_{k}": 0 for m in _MODES for k in ("exists", "missing")}
 
     def check_one(i: int):
@@ -439,9 +468,7 @@ def _capped(pool: list[Graph], budget: BudgetConfig) -> list[Graph]:
 
 
 _POOLS = {
-    "enumerated": lambda budget: [
-        g for n in range(4, budget.max_order + 1) for g in enumerate_connected_graphs(n)
-    ],
+    "enumerated": lambda budget: _Enumerated.labeled(budget.max_order),
     "join": lambda budget: _capped([complete(2), path(3), cycle(3), path(4), cycle(4)], budget),
     "corona_g": lambda budget: _capped([complete(2), path(3), cycle(3)], budget),
     "corona_h": lambda budget: _capped([complete(1), complete(2), path(3), complete(3)], budget),
@@ -452,7 +479,9 @@ _POOLS = {
 def default_pools(budget: BudgetConfig, names=None) -> dict:
     """The curated default instance pools for run_all, order-capped by budget.
 
-    ``names`` picks the pools to build; None builds all of them.
+    ``names`` picks the pools to build; None builds all of them.  The
+    enumerated pool is an ``_Enumerated``: its labeled graphs and their
+    isomorphism classes, not yet solved.
     """
     return {name: build(budget) for name, build in _POOLS.items() if names is None or name in names}
 
@@ -479,8 +508,8 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
     ``claims`` selects a subset by id; None runs all seven, always in
     canonical order.  Only the pools the selected claims read are built,
     and each is dropped after the last claim that reads it.  remark-3.1
-    and theorem-3.2 share one ``_Enumerated``: one scan per graph, and no
-    connectivity filter, since the default pool is enumerated connected.
+    and theorem-3.2 share one ``_Enumerated``: one scan per isomorphism
+    class, whose orbits were marked while the pool was enumerated.
     """
     budget = budget or BudgetConfig()
     if claims is not None:
@@ -489,8 +518,6 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
             raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
     selected = CLAIM_IDS if claims is None else tuple(c for c in CLAIM_IDS if c in set(claims))
     pools = default_pools(budget, {p for c in selected for p in _RUNNERS[c][1]})
-    if "enumerated" in pools:
-        pools["enumerated"] = _Enumerated(pools["enumerated"], known_connected=True)
     reports = []
     for at, claim in enumerate(selected):
         runner, pool_names, fields = _RUNNERS[claim]

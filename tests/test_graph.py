@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from movdom import (
     complete,
     complete_bipartite,
     cycle,
+    enumerate_classified_graphs,
     enumerate_connected_graphs,
     format_edge_list,
     from_edge_list,
@@ -139,13 +141,25 @@ class TestConnectivity:
         assert is_connected(g) == naive.connected(view)
 
 
+def _edge_mask(g):
+    edges = set(g.edges())
+    return sum(1 << i for i, p in enumerate(combinations(range(g.n), 2)) if p in edges)
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 38)])
+    @pytest.mark.parametrize(
+        "n,count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26_704)]
+    )
     def test_counts_match_brute_force(self, n, count):
         listed = list(enumerate_connected_graphs(n))
         assert len(listed) == count
         assert naive.count_connected(n) == count
         assert len(set(listed)) == count  # each exactly once
+        # in ascending edge mask, as a brute-force scan of every labeled graph meets them
+        views = naive.all_labeled_graphs(n)
+        assert [_edge_mask(g) for g in listed] == [
+            m for m, view in enumerate(views) if naive.connected(view)
+        ]
 
     def test_order_is_ascending_edge_mask(self):
         pairs = list(combinations(range(3), 2))
@@ -162,6 +176,61 @@ class TestEnumeration:
     def test_out_of_range(self, n):
         with pytest.raises(ValueError, match="enumeration supports"):
             list(enumerate_connected_graphs(n))
+
+
+@lru_cache(maxsize=None)
+def _classified(n):
+    return tuple(enumerate_classified_graphs(n))
+
+
+def _first_of_each_class(n):
+    first = {}
+    for g, c in _classified(n):
+        first.setdefault(c, g)
+    return first
+
+
+class TestClassifiedEnumeration:
+    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
+    def test_class_counts(self, n, classes):
+        # numbered 0, 1, ... in the order each class first appears
+        assert list(_first_of_each_class(n)) == list(range(classes))
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def _to_nx(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+class TestClassesAgainstAtlas:
+    """The classes checked against networkx's atlas of all graphs on up to 7 vertices."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_representatives_match_atlas_one_to_one(self, nx, n):
+        atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() == n and nx.is_connected(a)]
+        representatives = _first_of_each_class(n).values()
+        assert len(representatives) == len(atlas)
+        matched = []
+        for rep in representatives:
+            found = [i for i, a in enumerate(atlas) if nx.is_isomorphic(_to_nx(nx, rep), a)]
+            assert len(found) == 1, rep
+            matched += found
+        # one atlas graph per class and every atlas graph met: the
+        # representatives are pairwise non-isomorphic and miss no class
+        assert sorted(matched) == list(range(len(atlas)))
+
+    @pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 97)])
+    def test_every_graph_isomorphic_to_its_representative(self, nx, n, step):
+        first = _first_of_each_class(n)
+        for g, c in _classified(n)[::step]:
+            assert nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, first[c])), (g, c)
 
 
 class TestRandomGraphs:

@@ -15,6 +15,7 @@ from movdom import (
     complete,
     corona,
     cycle,
+    enumerate_classified_graphs,
     enumerate_connected_graphs,
     from_edge_list,
     gamma_m2,
@@ -387,6 +388,11 @@ class TestBenchmarkNames:
         assert set(tracer.CLAIM_RUNNERS.values()) == set(CLAIM_IDS)
 
 
+def _row(found):
+    """gamma, gamma_m1 and gamma_m2 in both modes, in the order of an enumerated row."""
+    return (found.gamma.value, found.m1.value, found.m2[LITERAL].value, found.m2[DISTINCT].value)
+
+
 class TestRunAll:
     def test_default_run_all_pass(self):
         reports = run_all(BudgetConfig(max_order=4, samples=20, movable_samples=10))
@@ -414,31 +420,56 @@ class TestRunAll:
             assert alone == full[claim]
 
     def test_enumerated_claims_share_one_scan(self, monkeypatch):
-        connected, solved = [], []
+        connected, solved, rows, read = [], [], {}, []
         is_connected, solve = movdom.harness.is_connected, movdom.harness.solve_jointly
+        values = movdom.harness._Enumerated.values
 
         def counted_connected(g):
             connected.append(g)
             return is_connected(g)
 
         def counted_solve(g, **asked):
+            found = solve(g, **asked)
             solved.append(g)
-            return solve(g, **asked)
+            rows[g] = _row(found)
+            return found
+
+        def counted_values(pool, i):
+            row = values(pool, i)
+            read.append((pool.graphs[i], row))
+            return row
 
         monkeypatch.setattr(movdom.harness, "is_connected", counted_connected)
         monkeypatch.setattr(movdom.harness, "solve_jointly", counted_solve)
+        monkeypatch.setattr(movdom.harness._Enumerated, "values", counted_values)
         reports = run_all(BudgetConfig(max_order=4), claims=["remark-3.1", "theorem-3.2"])
         assert [r.instances for r in reports] == [38, 38]
         assert reports[0].pool == "38 connected graphs of order >= 4 (of 38 supplied)"
         # the default pool is enumerated connected, so it is not tested again
         assert connected == []
-        assert solved == list(enumerate_connected_graphs(4))
+        # one scan per isomorphism class, on the first graph of the class,
+        # and each claim reads every graph's values from its class's row
+        class_of = dict(enumerate_classified_graphs(4))
+        first = {}
+        for g, c in class_of.items():
+            first.setdefault(c, g)
+        assert len(first) == 6 and solved == list(first.values())
+        assert read == [(g, rows[first[c]]) for g, c in class_of.items()] * 2
+
+    def test_class_rows_equal_direct_scans(self):
+        """Every labeled graph of order 4-6 reads the values its own scan gives."""
+        budget = BudgetConfig(max_order=6)
+        pool = movdom.harness.default_pools(budget, {"enumerated"})["enumerated"]
+        assert len(pool.graphs) == 27_470
+        for i, g in enumerate(pool.graphs):
+            direct = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT))
+            assert pool.values(i) == _row(direct), g
 
     def test_unread_pool_not_enumerated(self, monkeypatch):
         def refuse(n):
             raise AssertionError("enumerated a pool no selected claim reads")
 
-        monkeypatch.setattr(movdom.harness, "enumerate_connected_graphs", refuse)
+        monkeypatch.setattr(movdom.harness, "enumerate_classified_graphs", refuse)
         (report,) = run_all(BudgetConfig(max_order=6, samples=5), claims=["lemma-3.4"])
         assert report.passed and report.instances > 0
 
