@@ -27,7 +27,7 @@ from .graph import (
     complete,
     complete_bipartite,
     cycle,
-    enumerate_classified_graphs,
+    enumerate_connected_classes,
     enumerate_connected_graphs,
     format_edge_list,
     from_edge_list,

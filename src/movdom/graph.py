@@ -3,7 +3,9 @@
 Vertices are indices 0..n-1.  A set of vertices is an ``int`` bitmask
 (bit v set means vertex v is a member); masks are the currency every
 predicate and solver in this package trades in.  Adjacency is stored as
-one neighbor bitmask per vertex.
+one neighbor bitmask per vertex.  The connected graphs of order up to 6
+are enumerated either labeled, one by one, or one member per isomorphism
+class together with the number of labeled graphs in the class.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from array import array
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
@@ -215,47 +216,56 @@ def is_connected(g: Graph) -> bool:
         visited = grown
 
 
-_UNMARKED, _DISCONNECTED = -1, -2  # mark-table entries that are not class indices
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled connected simple graph on n vertices, exactly once.
 
-
-def enumerate_classified_graphs(n: int) -> Iterator[tuple[Graph, int]]:
-    """Every labeled connected graph on n vertices with its isomorphism class index.
-
-    Graphs come in the order of ``enumerate_connected_graphs``.  Classes
-    are numbered 0, 1, ... in the order their first member appears, so a
-    new index is always one more than the last new one.  The first
-    member of a class is found connected once; all n! vertex
-    permutations, as maps on edge indices, then mark its whole orbit of
-    edge masks, and a disconnected orbit is marked the same way, so
-    ``is_connected`` runs once per class of graphs on n vertices.
-    Supported for 1 <= n <= 6.
+    Order is deterministic: ascending edge-mask, where bit i of the mask
+    selects the i-th pair of combinations(range(n), 2).  No isomorphism
+    reduction is attempted.  Supported for 1 <= n <= 6.
     """
-    if not 1 <= n <= ENUMERATION_MAX_ORDER:
-        raise ValueError(
-            f"enumeration supports 1 <= n <= {ENUMERATION_MAX_ORDER}, got {n}"
-        )
-    pairs = list(combinations(range(n), 2))
+    pairs = _enumerated_pairs(n)
+    for edge_mask in range(1 << len(pairs)):
+        g = _graph_of(n, pairs, edge_mask)
+        if is_connected(g):
+            yield g
+
+
+def enumerate_connected_classes(n: int) -> Iterator[tuple[Graph, int]]:
+    """Each isomorphism class of connected graphs on n vertices once, as (member, size).
+
+    The member is the class's least edge mask, so it is the class's first
+    graph in ``enumerate_connected_graphs(n)``, and classes come in that
+    order.  The size is the number of labeled graphs in the class, its
+    orbit under all n! vertex permutations (as maps on edge indices).
+    Each orbit is marked seen once its least mask is met, disconnected
+    orbits too, so ``is_connected`` runs once per class of graphs on n
+    vertices.  Supported for 1 <= n <= 6.
+    """
+    pairs = _enumerated_pairs(n)
     edge_bit = {p: 1 << i for i, p in enumerate(pairs)}
     # images[p][i]: the edge bit that pair i goes to under permutation p
     images = [
         [edge_bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
         for p in permutations(range(n))
     ]
-    marks = array("h", [_UNMARKED]) * (1 << len(pairs))
-    classes = 0
-    for edge_mask in range(len(marks)):
-        if marks[edge_mask] == _UNMARKED:
-            g = _graph_of(n, pairs, edge_mask)
-            mark = _DISCONNECTED
-            if is_connected(g):
-                mark, classes = classes, classes + 1
+    seen = bytearray(1 << len(pairs))
+    for edge_mask in range(len(seen)):
+        if not seen[edge_mask]:
             members = list(bits(edge_mask))
-            for image in images:
-                marks[sum(map(image.__getitem__, members))] = mark
-            if mark != _DISCONNECTED:
-                yield g, mark
-        elif marks[edge_mask] != _DISCONNECTED:
-            yield _graph_of(n, pairs, edge_mask), marks[edge_mask]
+            orbit = {sum(map(image.__getitem__, members)) for image in images}
+            for image_mask in orbit:
+                seen[image_mask] = 1
+            g = _graph_of(n, pairs, edge_mask)
+            if is_connected(g):
+                yield g, len(orbit)
+
+
+def _enumerated_pairs(n: int) -> list[tuple[int, int]]:
+    if not 1 <= n <= ENUMERATION_MAX_ORDER:
+        raise ValueError(
+            f"enumeration supports 1 <= n <= {ENUMERATION_MAX_ORDER}, got {n}"
+        )
+    return list(combinations(range(n), 2))
 
 
 def _graph_of(n: int, pairs: list[tuple[int, int]], edge_mask: int) -> Graph:
@@ -265,18 +275,6 @@ def _graph_of(n: int, pairs: list[tuple[int, int]], edge_mask: int) -> Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return Graph(n, tuple(adj))
-
-
-def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled connected simple graph on n vertices, exactly once.
-
-    Order is deterministic: ascending edge-mask, where bit i of the mask
-    selects the i-th pair of combinations(range(n), 2).  These are the
-    graphs of ``enumerate_classified_graphs`` without their class
-    indices.  Supported for 1 <= n <= 6.
-    """
-    for g, _ in enumerate_classified_graphs(n):
-        yield g
 
 
 _REJECTION_LIMIT = 100

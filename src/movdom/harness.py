@@ -9,11 +9,11 @@ discrepancy: the graphs as edge lists, the sets, and the mode.
 All seven claims share one check loop, ``_report``: remark-3.1 and
 theorem-3.2 through ``_enumerated``, the three product formulas through
 ``_formula_claim``, and the two sampled corona lemmas directly.  Every
-2-movable value comes from ``solve_jointly``, both modes from one scan;
-within one ``run_all`` the two enumerated claims read one table of
-values, filled by one scan per isomorphism class of the labeled graphs
-(the invariants are isomorphism invariants).  Instance counts, tallies
-and counterexamples still count and name labeled graphs.
+2-movable value comes from ``solve_jointly``, both modes from one scan.
+The two enumerated claims read one list of rows, one per isomorphism
+class of the labeled connected graphs, each solved once and weighted by
+its class size (the invariants are isomorphism invariants), so instance
+counts, tallies and counterexamples still count and name labeled graphs.
 
 Claims whose ideal value is a product formula are validated on pools
 where that formula is at least 2 by default, since the 2-movable
@@ -22,7 +22,6 @@ invariant can never be smaller; callers may pass any pool they like.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice, tee
@@ -42,7 +41,7 @@ from .graph import (
     closed_neighborhood,
     complete,
     cycle,
-    enumerate_classified_graphs,
+    enumerate_connected_classes,
     is_connected,
     path,
     vertex_list,
@@ -88,7 +87,13 @@ def _value_payload(value: int | None) -> int | str:
 
 
 def _report(
-    claim: str, pool: str, items: list, check, tally: dict | None = None, seed: int | None = None
+    claim: str,
+    pool: str,
+    items: list,
+    check,
+    tally: dict | None = None,
+    seed: int | None = None,
+    instances: int | None = None,
 ) -> ClaimReport:
     """Fail on the first counterexample ``check(item)`` yields; drain all checks for the tallies."""
     counterexample = None
@@ -99,7 +104,7 @@ def _report(
     return ClaimReport(
         claim=claim,
         pool=pool,
-        instances=len(items),
+        instances=len(items) if instances is None else instances,
         status="fail" if counterexample else "pass",
         counterexample=counterexample,
         clause_tally=tally,
@@ -107,81 +112,50 @@ def _report(
     )
 
 
-_ABSENT = 0xFF  # table byte of an invariant that no set attains
+def _solved_row(g: Graph) -> tuple[int | None, ...]:
+    """gamma, gamma_m1 and gamma_m2 in each of ``_MODES`` (None where absent), from one scan."""
+    found = solve_jointly(g, gamma=True, m1=True, modes=_MODES)
+    return tuple(r.value for r in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)))
 
 
-class _Enumerated:
-    """The connected graphs of order >= 4 in a pool, solved once per class for every claim.
-
-    ``classes[i]`` is the class of ``graphs[i]``; classes are numbered
-    0, 1, ... in the order their first graph appears, and every graph of a
-    class has the same gamma, gamma_m1 and gamma_m2.  ``values(i)`` is
-    those invariants for ``graphs[i]``, with gamma_m2 in each of
-    ``_MODES`` and None where absent.  Only values are kept: a 4-byte row
-    per class in one table, filled by one ``solve_jointly`` scan of each
-    class's first graph on the first read.  ``supplied`` counts the graphs
-    the pool held before any filter.
-    """
-
-    def __init__(self, graphs: list[Graph], classes, supplied: int) -> None:
-        self.graphs = graphs
-        self.classes = classes
-        self.supplied = supplied
-        self._table: bytearray | None = None
-
-    @classmethod
-    def supplied_pool(cls, pool) -> _Enumerated:
-        """A pool of any graphs: its connected ones of order >= 4, each in a class of its own."""
-        supplied = list(pool)
-        graphs = [g for g in supplied if g.n >= 4 and is_connected(g)]
-        return cls(graphs, range(len(graphs)), len(supplied))
-
-    @classmethod
-    def labeled(cls, max_order: int) -> _Enumerated:
-        """Every labeled connected graph of order 4 to max_order, classes numbered across orders."""
-        graphs: list[Graph] = []
-        classes = array("H")
-        count = 0
-        for n in range(4, max_order + 1):
-            offset = count
-            for g, c in enumerate_classified_graphs(n):
-                graphs.append(g)
-                classes.append(offset + c)
-                count = max(count, offset + c + 1)
-        return cls(graphs, classes, len(graphs))
-
-    def values(self, i: int) -> tuple[int | None, ...]:
-        if self._table is None:
-            self._table = bytearray()
-            for g, c in zip(self.graphs, self.classes):
-                if 4 * c == len(self._table):
-                    found = solve_jointly(g, gamma=True, m1=True, modes=_MODES)
-                    for result in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)):
-                        self._table.append(_ABSENT if result.value is None else result.value)
-        row = 4 * self.classes[i]
-        return tuple(None if b == _ABSENT else b for b in self._table[row : row + 4])
+def _class_rows(max_order: int) -> list[tuple[Graph, int, tuple]]:
+    """One solved row (graph, class size, values) per connected class of order 4..max_order."""
+    return [
+        (g, size, _solved_row(g))
+        for n in range(4, max_order + 1)
+        for g, size in enumerate_connected_classes(n)
+    ]
 
 
 def _enumerated(claim: str, pool, check, prefix: str = "") -> ClaimReport:
     """Report ``check(g, gamma, gamma_m1, m2)`` on the connected graphs of order >= 4 in pool.
 
     ``m2`` lists (mode, value) where gamma_m2(g, mode) exists, and existence
-    per mode is tallied under keys starting with ``prefix``.  ``pool`` may
-    be an ``_Enumerated`` that another claim has already solved.
+    per mode is tallied under keys starting with ``prefix``.  ``pool`` is
+    either graphs, whose connected ones of order >= 4 become rows of size
+    1, or the rows of ``_class_rows``.  A row stands for ``size`` labeled
+    graphs with its values, in instances and tallies; its graph is the
+    first of them in pool order, and rows come in that order, so the first
+    failing row names the first failing labeled graph.
     """
-    solved = pool if isinstance(pool, _Enumerated) else _Enumerated.supplied_pool(pool)
+    rows = list(pool)
+    if rows and isinstance(rows[0], Graph):
+        supplied = len(rows)
+        rows = [(g, 1, _solved_row(g)) for g in rows if g.n >= 4 and is_connected(g)]
+    else:
+        supplied = sum(size for _, size, _ in rows)
     tally = {f"{prefix}{m.value}_{k}": 0 for m in _MODES for k in ("exists", "missing")}
 
-    def check_one(i: int):
-        base, m1, *m2 = solved.values(i)
+    def check_one(row):
+        g, size, (base, m1, *m2) = row
         for mode, value in zip(_MODES, m2):
-            tally[f"{prefix}{mode.value}_{'missing' if value is None else 'exists'}"] += 1
+            tally[f"{prefix}{mode.value}_{'missing' if value is None else 'exists'}"] += size
         present = [(mode, value) for mode, value in zip(_MODES, m2) if value is not None]
-        return check(solved.graphs[i], base, m1, present)
+        return check(g, base, m1, present)
 
-    graphs = solved.graphs
-    pool_text = f"{len(graphs)} connected graphs of order >= 4 (of {solved.supplied} supplied)"
-    return _report(claim, pool_text, range(len(graphs)), check_one, tally)
+    instances = sum(size for _, size, _ in rows)
+    pool_text = f"{instances} connected graphs of order >= 4 (of {supplied} supplied)"
+    return _report(claim, pool_text, rows, check_one, tally, instances=instances)
 
 
 def _formula_claim(claim: str, pool: str, items: list, product, expected, factors) -> ClaimReport:
@@ -468,7 +442,7 @@ def _capped(pool: list[Graph], budget: BudgetConfig) -> list[Graph]:
 
 
 _POOLS = {
-    "enumerated": lambda budget: _Enumerated.labeled(budget.max_order),
+    "enumerated": lambda budget: _class_rows(budget.max_order),
     "join": lambda budget: _capped([complete(2), path(3), cycle(3), path(4), cycle(4)], budget),
     "corona_g": lambda budget: _capped([complete(2), path(3), cycle(3)], budget),
     "corona_h": lambda budget: _capped([complete(1), complete(2), path(3), complete(3)], budget),
@@ -480,8 +454,8 @@ def default_pools(budget: BudgetConfig, names=None) -> dict:
     """The curated default instance pools for run_all, order-capped by budget.
 
     ``names`` picks the pools to build; None builds all of them.  The
-    enumerated pool is an ``_Enumerated``: its labeled graphs and their
-    isomorphism classes, not yet solved.
+    enumerated pool is the solved ``_class_rows``: one row per isomorphism
+    class of the labeled connected graphs, not the graphs themselves.
     """
     return {name: build(budget) for name, build in _POOLS.items() if names is None or name in names}
 
@@ -506,10 +480,9 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
     """Validate claims on their default pools, one report per claim.
 
     ``claims`` selects a subset by id; None runs all seven, always in
-    canonical order.  Only the pools the selected claims read are built,
-    and each is dropped after the last claim that reads it.  remark-3.1
-    and theorem-3.2 share one ``_Enumerated``: one scan per isomorphism
-    class, whose orbits were marked while the pool was enumerated.
+    canonical order.  Only the pools the selected claims read are built.
+    remark-3.1 and theorem-3.2 share the enumerated pool's rows, so each
+    isomorphism class is scanned once, while the pool is built.
     """
     budget = budget or BudgetConfig()
     if claims is not None:
@@ -519,12 +492,8 @@ def run_all(budget: BudgetConfig | None = None, claims=None) -> list[ClaimReport
     selected = CLAIM_IDS if claims is None else tuple(c for c in CLAIM_IDS if c in set(claims))
     pools = default_pools(budget, {p for c in selected for p in _RUNNERS[c][1]})
     reports = []
-    for at, claim in enumerate(selected):
+    for claim in selected:
         runner, pool_names, fields = _RUNNERS[claim]
         args = [pools[p] for p in pool_names] + [getattr(budget, f) for f in fields]
         reports.append(globals()[runner](*args))
-        # kept to the end, the enumerated graphs and their table stayed live
-        # under the lemma claims and raised verify's peak RSS by about 1 MB
-        for p in set(pools) - {p for c in selected[at + 1 :] for p in _RUNNERS[c][1]}:
-            del pools[p]
     return reports

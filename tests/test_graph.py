@@ -1,5 +1,6 @@
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,7 @@ from movdom import (
     complete,
     complete_bipartite,
     cycle,
-    enumerate_classified_graphs,
+    enumerate_connected_classes,
     enumerate_connected_graphs,
     format_edge_list,
     from_edge_list,
@@ -174,27 +175,26 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [0, 7])
     def test_out_of_range(self, n):
-        with pytest.raises(ValueError, match="enumeration supports"):
-            list(enumerate_connected_graphs(n))
+        for enumerate_graphs in (enumerate_connected_graphs, enumerate_connected_classes):
+            with pytest.raises(ValueError, match="enumeration supports"):
+                list(enumerate_graphs(n))
 
 
 @lru_cache(maxsize=None)
-def _classified(n):
-    return tuple(enumerate_classified_graphs(n))
-
-
-def _first_of_each_class(n):
-    first = {}
-    for g, c in _classified(n):
-        first.setdefault(c, g)
-    return first
+def _classes(n):
+    return tuple(enumerate_connected_classes(n))
 
 
 class TestClassifiedEnumeration:
     @pytest.mark.parametrize("n,classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
     def test_class_counts(self, n, classes):
-        # numbered 0, 1, ... in the order each class first appears
-        assert list(_first_of_each_class(n)) == list(range(classes))
+        assert len(_classes(n)) == classes
+        # the class sizes count every labeled connected graph
+        assert sum(size for _, size in _classes(n)) == naive.count_connected(n)
+        # each class's graph is a labeled one, classes in labeled order
+        position = {g: i for i, g in enumerate(enumerate_connected_graphs(n))}
+        at = [position[g] for g, _ in _classes(n)]
+        assert at == sorted(at)
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ class TestClassesAgainstAtlas:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_representatives_match_atlas_one_to_one(self, nx, n):
         atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() == n and nx.is_connected(a)]
-        representatives = _first_of_each_class(n).values()
+        representatives = [g for g, _ in _classes(n)]
         assert len(representatives) == len(atlas)
         matched = []
         for rep in representatives:
@@ -226,11 +226,23 @@ class TestClassesAgainstAtlas:
         # representatives are pairwise non-isomorphic and miss no class
         assert sorted(matched) == list(range(len(atlas)))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_class_sizes_are_orbit_sizes(self, nx, n):
+        # orbit-stabiliser: a class of g holds n!/|Aut(g)| labeled graphs
+        for g, size in _classes(n):
+            h = _to_nx(nx, g)
+            automorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            assert size == factorial(n) // automorphisms, g
+
     @pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 97)])
     def test_every_graph_isomorphic_to_its_representative(self, nx, n, step):
-        first = _first_of_each_class(n)
-        for g, c in _classified(n)[::step]:
-            assert nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, first[c])), (g, c)
+        # its representative: the one class graph isomorphic to it, which
+        # is its class's least edge mask, so no later than it
+        representatives = [(_edge_mask(r), _to_nx(nx, r)) for r, _ in _classes(n)]
+        for g in list(enumerate_connected_graphs(n))[::step]:
+            h = _to_nx(nx, g)
+            found = [m for m, r in representatives if nx.is_isomorphic(h, r)]
+            assert len(found) == 1 and found[0] <= _edge_mask(g), g
 
 
 class TestRandomGraphs:

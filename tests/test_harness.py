@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from movdom import (
     complete,
     corona,
     cycle,
-    enumerate_classified_graphs,
+    enumerate_connected_classes,
     enumerate_connected_graphs,
     from_edge_list,
     gamma_m2,
@@ -420,56 +421,68 @@ class TestRunAll:
             assert alone == full[claim]
 
     def test_enumerated_claims_share_one_scan(self, monkeypatch):
-        connected, solved, rows, read = [], [], {}, []
+        connected, solved = [], []
         is_connected, solve = movdom.harness.is_connected, movdom.harness.solve_jointly
-        values = movdom.harness._Enumerated.values
 
         def counted_connected(g):
             connected.append(g)
             return is_connected(g)
 
         def counted_solve(g, **asked):
-            found = solve(g, **asked)
             solved.append(g)
-            rows[g] = _row(found)
-            return found
-
-        def counted_values(pool, i):
-            row = values(pool, i)
-            read.append((pool.graphs[i], row))
-            return row
+            return solve(g, **asked)
 
         monkeypatch.setattr(movdom.harness, "is_connected", counted_connected)
         monkeypatch.setattr(movdom.harness, "solve_jointly", counted_solve)
-        monkeypatch.setattr(movdom.harness._Enumerated, "values", counted_values)
         reports = run_all(BudgetConfig(max_order=4), claims=["remark-3.1", "theorem-3.2"])
         assert [r.instances for r in reports] == [38, 38]
         assert reports[0].pool == "38 connected graphs of order >= 4 (of 38 supplied)"
         # the default pool is enumerated connected, so it is not tested again
         assert connected == []
-        # one scan per isomorphism class, on the first graph of the class,
-        # and each claim reads every graph's values from its class's row
-        class_of = dict(enumerate_classified_graphs(4))
-        first = {}
-        for g, c in class_of.items():
-            first.setdefault(c, g)
-        assert len(first) == 6 and solved == list(first.values())
-        assert read == [(g, rows[first[c]]) for g, c in class_of.items()] * 2
+        # one scan per isomorphism class, on the class's graph, in class order
+        assert solved == [g for g, _ in enumerate_connected_classes(4)]
 
     def test_class_rows_equal_direct_scans(self):
-        """Every labeled graph of order 4-6 reads the values its own scan gives."""
+        """Each row holds its graph's own scan, and the rows weighted by size hold every graph's."""
         budget = BudgetConfig(max_order=6)
-        pool = movdom.harness.default_pools(budget, {"enumerated"})["enumerated"]
-        assert len(pool.graphs) == 27_470
-        for i, g in enumerate(pool.graphs):
-            direct = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT))
-            assert pool.values(i) == _row(direct), g
+        rows = movdom.harness.default_pools(budget, {"enumerated"})["enumerated"]
+        assert len(rows) == 139
+        for g, _, values in rows:
+            assert values == _row(solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)))
+        weighted = Counter()
+        for _, size, values in rows:
+            weighted[values] += size
+        direct = Counter(
+            _row(solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)))
+            for n in (4, 5, 6)
+            for g in enumerate_connected_graphs(n)
+        )
+        assert sum(direct.values()) == 27_470
+        assert weighted == direct
+
+    def test_class_pool_reports_like_its_labeled_pool(self):
+        """A failing check names the same first counterexample on class rows as on labeled graphs."""
+
+        def check(g, base, m1, m2):
+            for mode, value in m2:
+                if base == 2 and value == 3:
+                    yield {"graph": g.edges(), "mode": mode.value}
+
+        budget = BudgetConfig(max_order=5)
+        rows = movdom.harness.default_pools(budget, {"enumerated"})["enumerated"]
+        labeled = [g for n in (4, 5) for g in enumerate_connected_graphs(n)]
+        assert len(labeled) == 766
+        by_class = movdom.harness._enumerated("c", rows, check, prefix="p_")
+        by_graph = movdom.harness._enumerated("c", labeled, check, prefix="p_")
+        assert by_class.status == "fail"
+        assert by_class.counterexample["graph"] != labeled[0].edges()
+        assert by_class == by_graph
 
     def test_unread_pool_not_enumerated(self, monkeypatch):
         def refuse(n):
             raise AssertionError("enumerated a pool no selected claim reads")
 
-        monkeypatch.setattr(movdom.harness, "enumerate_classified_graphs", refuse)
+        monkeypatch.setattr(movdom.harness, "enumerate_connected_classes", refuse)
         (report,) = run_all(BudgetConfig(max_order=6, samples=5), claims=["lemma-3.4"])
         assert report.passed and report.instances > 0
 
