@@ -12,7 +12,6 @@ from .domination import (
     SolverResult,
     ascending_k_subsets,
     dominating_sets,
-    domination_lower_bound,
     gamma,
     greedy_repair,
     is_dominating,

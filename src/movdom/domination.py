@@ -70,28 +70,25 @@ def ascending_k_subsets(n: int, k: int) -> Iterator[VertexSet]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def domination_lower_bound(g: Graph) -> int:
-    """ceil(n / (1 + max degree)): every chosen vertex covers at most 1+maxdeg."""
-    maxdeg = max(m.bit_count() for m in g.adj)
-    return -(-g.n // (1 + maxdeg))
-
-
 def dominating_sets(g: Graph, smallest: int) -> Iterator[VertexSet]:
     """Every dominating set with at least ``smallest`` members.
 
     Sets come by ascending cardinality and, within one, by ascending
-    bitmask: the same order as filtering ``ascending_k_subsets``.  Members
-    are picked from the highest index down, with the covered mask carried
-    along.  A branch is cut when some uncovered vertex has its whole closed
-    neighbourhood at or above the last pick, or when the picks left, each
-    covering at most the largest closed degree below the last pick, cannot
-    cover what is left.  The tables live only for this call: kept on every
-    ``Graph`` they would outlive the search.
+    bitmask: the same order as filtering ``ascending_k_subsets``.  No size
+    below ceil(n / (1 + max degree)) is tried, as no smaller set dominates
+    (Haynes, Hedetniemi and Slater, *Fundamentals of Domination in Graphs*,
+    1998).  Members are picked from the highest index down, with the
+    covered mask carried along.  A branch is cut when some uncovered vertex
+    has its whole closed neighbourhood at or above the last pick, or when
+    the picks left, each covering at most the largest closed degree below
+    the last pick, cannot cover what is left.  The ``stuck`` and ``most``
+    tables live only for this call: kept on every ``Graph`` they would
+    outlive the search.
     """
-    n, full = g.n, g.full_mask
-    closed = [g.adj[v] | 1 << v for v in range(n)]
+    n, full, closed = g.n, g.full_mask, g.closed
     # stuck[t]: vertices whose closed neighbourhood lies wholly at or above t.
-    # most[t]: the largest closed-neighbourhood size among vertices below t.
+    # most[t]: the largest closed-neighbourhood size among vertices below t,
+    # so most[n] is 1 + the maximum degree.
     stuck = [0] * (n + 1)
     most = [0] * (n + 1)
     for u in range(n):
@@ -100,12 +97,12 @@ def dominating_sets(g: Graph, smallest: int) -> Iterator[VertexSet]:
     for t in range(n - 1, -1, -1):
         stuck[t] |= stuck[t + 1]
 
-    for k in range(max(smallest, 1), n + 1):
+    for k in range(max(smallest, 1, -(-n // most[n])), n + 1):
         yield from _dominating_below(closed, stuck, most, full, 0, 0, n, k)
 
 
 def _dominating_below(
-    closed: list[VertexSet],
+    closed: tuple[VertexSet, ...],
     stuck: list[VertexSet],
     most: list[int],
     full: VertexSet,
@@ -133,7 +130,7 @@ def _dominating_below(
 def gamma(g: Graph) -> SolverResult:
     """Exact domination number with the lex-least optimal witness."""
     check_solver_order(g.n)
-    mask = next(dominating_sets(g, domination_lower_bound(g)))
+    mask = next(dominating_sets(g, 1))
     return SolverResult(mask.bit_count(), mask)
 
 
@@ -142,18 +139,18 @@ def greedy_repair(g: Graph, seed_set: VertexSet) -> VertexSet:
     check_vertex_set(g, seed_set)
     chosen = seed_set
     covered = closed_neighborhood(g, seed_set)
-    full = g.full_mask
+    full, closed = g.full_mask, g.closed
     while covered != full:
         best_v = -1
         best_gain = 0
         for v in range(g.n):
             if chosen >> v & 1:
                 continue
-            gain = ((g.adj[v] | 1 << v) & ~covered).bit_count()
+            gain = (closed[v] & ~covered).bit_count()
             if gain > best_gain:
                 best_gain, best_v = gain, v
         chosen |= 1 << best_v
-        covered |= g.adj[best_v] | 1 << best_v
+        covered |= closed[best_v]
     return chosen
 
 

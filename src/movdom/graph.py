@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
@@ -53,11 +53,16 @@ class Graph:
 
     Instances are immutable values; they hash and compare by content and
     can be shared freely.  Construction validates the representation
-    invariants (no self-loops, symmetric adjacency, indices in range).
+    invariants (no self-loops, symmetric adjacency, indices in range) and
+    then builds ``closed``, the closed neighbourhood N[v] = adj[v] | {v}
+    of each vertex, which the solvers and movability predicates read.  It
+    is derived from ``adj``, so it takes no part in equality, hashing or
+    repr, and ``closed_neighborhood`` does not read it.
     """
 
     n: int
     adj: tuple[VertexSet, ...]
+    closed: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -72,6 +77,7 @@ class Graph:
             for u in bits(nbrs):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        object.__setattr__(self, "closed", tuple(m | 1 << v for v, m in enumerate(self.adj)))
 
     @property
     def full_mask(self) -> VertexSet:

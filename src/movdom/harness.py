@@ -46,10 +46,8 @@ from .graph import (
     path,
     vertex_list,
 )
-from .movable import ReplacementMode, is_2movable_dominating, solve_jointly
+from .movable import _MODES, is_2movable_dominating, solve_jointly
 from .products import CoronaLayout, corona, join, slice_copy
-
-_MODES = (ReplacementMode.LITERAL, ReplacementMode.DISTINCT)
 
 CORONA_ORDER_CAP = 16
 

@@ -18,7 +18,8 @@ preferred over swaps, swap replacements scanned in ascending (u, v)
 order, first success recorded.
 
 Both predicates decide each move from coverage counts rather than a fresh
-domination test.  One pass over the members of S builds three masks:
+domination test, reading every N[v] from the graph's ``closed`` table,
+which is built once with the graph.  One pass over S builds three masks:
 ``covered`` (vertices with at least one member in their closed
 neighbourhood), ``once`` (exactly one) and ``twice`` (exactly two).  S
 dominates iff ``covered`` is every vertex.  A vertex in ``once & N[v]``
@@ -28,8 +29,9 @@ uncovers exactly ``lost = once & N[v]``, and dropping the pair {x, y}
 uncovers ``lost = once & (N[x] | N[y]) | twice & N[x] & N[y]``.  The
 drop works iff ``lost`` is empty; the swap to u (or to u and v) works
 iff the replacements' closed neighbourhoods cover ``lost``.
-``verify_certificate`` does not use these masks: it re-checks every move
-with plain ``is_dominating``, so it stays independent of the predicates.
+``verify_certificate`` uses neither these masks nor ``closed``: it
+re-checks every move with plain ``is_dominating``, which reads only the
+adjacency, so it stays independent of the predicates.
 
 All exact movable solvers share one scan, ``solve_jointly``: it walks the
 dominating sets once, in the order of ``dominating_sets``, and tests each
@@ -56,13 +58,7 @@ from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
 
-from .domination import (
-    SolverResult,
-    check_solver_order,
-    domination_lower_bound,
-    dominating_sets,
-    is_dominating,
-)
+from .domination import SolverResult, check_solver_order, dominating_sets, is_dominating
 from .graph import Graph, VertexSet, bits, check_vertex_set, vertex_list
 
 
@@ -73,7 +69,9 @@ class ReplacementMode(Enum):
     DISTINCT = "distinct"
 
 
-_LITERAL_FIRST = (ReplacementMode.LITERAL, ReplacementMode.DISTINCT)
+# Both modes in definition order.  The joint scan relies on LITERAL coming
+# first: DISTINCT is tested only from the LITERAL witness onwards.
+_MODES = tuple(ReplacementMode)
 
 
 class MalformedCertificateError(ValueError):
@@ -147,16 +145,15 @@ class MovabilityFailure:
         return False
 
 
-def _coverage(g: Graph, s: VertexSet) -> tuple[list[VertexSet], VertexSet, VertexSet, VertexSet]:
-    """Closed neighbourhoods of g, and the vertices s covers >= 1, == 1 and == 2 times."""
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+def _coverage(closed: tuple[VertexSet, ...], s: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
+    """The vertices s covers >= 1, == 1 and == 2 times, from the graph's ``closed`` table."""
     covered = once = twice = 0
     for v in bits(s):
         nv = closed[v]
         twice = twice & ~nv | once & nv
         once = once & ~nv | nv & ~covered
         covered |= nv
-    return closed, covered, once, twice
+    return covered, once, twice
 
 
 def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | MovabilityFailure:
@@ -168,7 +165,8 @@ def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | Mo
     check_vertex_set(g, s)
     if s == 0:
         raise ValueError("the empty set cannot be checked for movability")
-    closed, covered, once, _ = _coverage(g, s)
+    closed = g.closed
+    covered, once, _ = _coverage(closed, s)
     if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     moves = []
@@ -199,7 +197,8 @@ def is_2movable_dominating(
     check_vertex_set(g, s)
     if s == 0:
         raise ValueError("the empty set cannot be checked for movability")
-    closed, covered, once, twice = _coverage(g, s)
+    closed = g.closed
+    covered, once, twice = _coverage(closed, s)
     if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     if s.bit_count() < 2:
@@ -246,10 +245,10 @@ def solve_jointly(
 ) -> JointResult:
     """gamma, gamma_m1 and gamma_m2 in the given modes, from one scan of dominating sets.
 
-    The scan starts at the domination lower bound when gamma or gamma_m1
-    is asked for (gamma is then the first set scanned), and at least at 2
-    otherwise.  Each movable invariant's witness is the first set in scan
-    order that passes its predicate.  When both modes are asked for,
+    The scan starts where ``dominating_sets`` starts when gamma or
+    gamma_m1 is asked for (gamma is then the first set scanned), and at
+    least at 2 otherwise.  Each movable invariant's witness is the first
+    set in scan order that passes its predicate.  When both modes are asked for,
     DISTINCT is tested only from the LITERAL witness onwards (see the
     module docstring).  A set holding a leaf and its one neighbour is not
     tested for 2-movability in any mode: dropping that pair uncovers the
@@ -258,14 +257,13 @@ def solve_jointly(
     that has none after the whole vertex set.
     """
     check_solver_order(g.n)
-    lowest = domination_lower_bound(g)
     first = m1_found = None
     # the modes still without a witness, LITERAL first; only the head is tested
-    pending = [m for m in _LITERAL_FIRST if m in modes]
+    pending = [m for m in _MODES if m in modes]
     found = {}
     # N[l] = {l, s} of each leaf l: no set holding one whole is 2-movable
-    leaf_pairs = {1 << v | g.adj[v] for v in range(g.n) if g.adj[v].bit_count() == 1}
-    for mask in dominating_sets(g, lowest if gamma or m1 else max(2, lowest)):
+    leaf_pairs = {nv for nv in g.closed if nv.bit_count() == 2}
+    for mask in dominating_sets(g, 1 if gamma or m1 else 2):
         if first is None:
             first = mask
         if m1 and m1_found is None:

@@ -4,13 +4,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
+import movdom.domination
 import naive
 from movdom import (
     ascending_k_subsets,
     complete,
     cycle,
     dominating_sets,
-    domination_lower_bound,
     enumerate_connected_graphs,
     gamma,
     greedy_repair,
@@ -108,9 +108,22 @@ class TestGamma:
     def test_greedy_never_beats_exact(self, g):
         assert gamma(g).value <= greedy_repair(g, 0).bit_count()
 
-    @given(graphs())
-    def test_lower_bound_is_sound(self, g):
-        assert domination_lower_bound(g) <= gamma(g).value
+    @pytest.mark.parametrize(
+        "g, first", [(cycle(19), 7), (path(18), 6), (star(5), 1)], ids=["C19", "P18", "star5"]
+    )
+    def test_scan_starts_at_the_domination_bound(self, monkeypatch, g, first):
+        # ceil(n / (1 + max degree)): the first size dominating_sets(g, 1) tries
+        below = movdom.domination._dominating_below
+        sizes = []
+
+        def spy(closed, stuck, most, full, chosen, covered, top, left):
+            if chosen == 0:
+                sizes.append(left)
+            return below(closed, stuck, most, full, chosen, covered, top, left)
+
+        monkeypatch.setattr(movdom.domination, "_dominating_below", spy)
+        witness = next(dominating_sets(g, 1))
+        assert sizes[0] == first == witness.bit_count() == gamma(g).value
 
 
 class TestDominatingSets:

@@ -64,6 +64,18 @@ class TestConstruction:
             for u in bits(g.adj[v]):
                 assert g.adj[u] >> v & 1
 
+    @given(graphs())
+    def test_closed_neighbourhoods_built_with_the_graph(self, g):
+        # built eagerly in __post_init__, so a fresh graph already holds it
+        assert "closed" in vars(Graph(g.n, g.adj))
+        assert g.closed == tuple(g.adj[v] | 1 << v for v in range(g.n))
+
+    @given(graphs())
+    def test_closed_is_not_part_of_the_value(self, g):
+        rebuilt = Graph(g.n, g.adj)
+        assert rebuilt == g and hash(rebuilt) == hash(g)
+        assert repr(g) == f"Graph(n={g.n}, edges={g.edges()})"
+
 
 class TestFamilies:
     def test_complete_4(self):

@@ -17,7 +17,6 @@ from movdom import (
     complete,
     cycle,
     dominating_sets,
-    domination_lower_bound,
     enumerate_connected_graphs,
     from_edge_list,
     gamma,
@@ -26,6 +25,7 @@ from movdom import (
     greedy_repair,
     is_1movable_dominating,
     is_2movable_dominating,
+    is_dominating,
     join,
     mask_of,
     path,
@@ -261,7 +261,7 @@ class TestSolvers:
 
 def _loop_gamma_m1(g):
     """gamma_m1 as its own scan loop, kept from before the joint scan."""
-    for mask in dominating_sets(g, domination_lower_bound(g)):
+    for mask in dominating_sets(g, 1):
         cert = is_1movable_dominating(g, mask)
         if cert:
             return SolverResult(mask.bit_count(), mask, cert)
@@ -270,7 +270,7 @@ def _loop_gamma_m1(g):
 
 def _loop_gamma_m2(g, mode):
     """gamma_m2 as its own scan loop, kept from before the joint scan."""
-    for mask in dominating_sets(g, max(2, domination_lower_bound(g))):
+    for mask in dominating_sets(g, 2):
         cert = is_2movable_dominating(g, mask, mode)
         if cert:
             return SolverResult(mask.bit_count(), mask, cert)
@@ -493,6 +493,18 @@ class TestVerifyCertificate:
         assert checked == 7
         for g, s, cert in FORGED:
             assert not verify_certificate(g, s, cert, LITERAL)
+
+    def test_independent_of_the_closed_table(self):
+        # the checker reads only adj, so a graph whose closed table is wiped still checks
+        result = gamma_m2(cycle(6))
+        g = cycle(6)
+        object.__setattr__(g, "closed", (0,) * g.n)
+        assert is_dominating(g, result.witness)
+        assert verify_certificate(g, result.witness, result.certificate)
+        # {1, 4} still dominates C6, but 4 is no neighbour of 0
+        assert result.certificate.moves == (PairMove((0, 3), (1, 4)),)
+        forged = MovabilityCertificate(2, (PairMove((0, 3), (4, 1)),))
+        assert not verify_certificate(g, result.witness, forged)
 
     def test_failure_object_is_falsy(self):
         assert not MovabilityFailure("not-dominating")
