@@ -58,9 +58,8 @@ from .movable import (
     MalformedCertificateError,
     MovabilityCertificate,
     MovabilityFailure,
-    PairMove,
+    Move,
     ReplacementMode,
-    VertexMove,
     gamma_m1,
     gamma_m2,
     is_1movable_dominating,

@@ -120,20 +120,13 @@ def _print_human_result(which: str, mode: ReplacementMode, result: SolverResult)
         return
     print(f"value: {result.value}")
     print("witness:", " ".join(str(v) for v in vertex_list(result.witness)))
-    if result.certificate is not None:
+    cert = result.certificate
+    if cert is not None:
         print("certificate:")
-        for move in result.certificate.to_json_dict()["moves"]:
-            where = (
-                f"vertex {move['vertex']}"
-                if "vertex" in move
-                else "pair " + ",".join(str(v) for v in move["pair"])
-            )
-            if move["action"] == "drop":
-                print(f"  {where}: drop")
-            else:
-                rep = move["replacement"]
-                rep_text = str(rep) if isinstance(rep, int) else ",".join(str(v) for v in rep)
-                print(f"  {where}: swap {rep_text}")
+        kind = "vertex" if cert.level == 1 else "pair"
+        for move in cert.moves:
+            action = "drop" if move.is_drop else "swap " + ",".join(map(str, move.replacement))
+            print(f"  {kind} {','.join(map(str, move.members))}: {action}")
 
 
 def _cmd_build(args) -> int:

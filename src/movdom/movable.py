@@ -11,8 +11,10 @@ replacement vertices coincide, DISTINCT requires them to differ.  A set
 with fewer than two members is never 2-movable, so the 2-movable
 invariant is always at least 2 when it exists.
 
-Checks return a certificate listing one verified move per member (or per
-pair), or a falsy failure object naming the first stuck member or pair.
+Checks return a certificate listing one verified ``Move`` per member (or
+per pair), or a falsy failure object naming the first stuck member or
+pair.  Both levels share the one move shape: the members leave, and are
+either dropped or each swapped for an outside neighbour of its own.
 Certificates are canonical: members and pairs in ascending order, drops
 preferred over swaps, swap replacements scanned in ascending (u, v)
 order, first success recorded.
@@ -56,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .domination import SolverResult, check_solver_order, dominating_sets, is_dominating
@@ -75,32 +78,22 @@ _MODES = tuple(ReplacementMode)
 
 
 class MalformedCertificateError(ValueError):
-    """A certificate whose move list does not even cover the right pairs."""
+    """A certificate whose moves are not even well shaped for its level, or
+    do not cover exactly the required members or pairs."""
 
 
-@dataclass(frozen=True)
-class VertexMove:
-    """How one member leaves the set: dropped, or swapped for a neighbor."""
+class Move(NamedTuple):
+    """How one member (level 1) or one pair (level 2) leaves the set.
 
-    vertex: int
-    replacement: int | None = None
-
-    @property
-    def is_drop(self) -> bool:
-        return self.replacement is None
-
-
-@dataclass(frozen=True)
-class PairMove:
-    """How one pair leaves the set.
-
-    ``pair`` is (x, y) with x < y.  A swap replacement (u, v) means u is
-    an outside neighbor of x and v an outside neighbor of y; ``None``
-    means the pair is simply dropped.
+    ``members`` is (v,), or (x, y) with x < y.  ``replacement`` holds one
+    outside neighbor per member, in the same order (u for x, v for y), or
+    is None when the members are simply dropped.  A named tuple, like
+    ``JointResult``: a frozen dataclass is slower to build, and the
+    predicates build one per member or pair.
     """
 
-    pair: tuple[int, int]
-    replacement: tuple[int, int] | None = None
+    members: tuple[int, ...]
+    replacement: tuple[int, ...] | None = None
 
     @property
     def is_drop(self) -> bool:
@@ -109,27 +102,25 @@ class PairMove:
 
 @dataclass(frozen=True)
 class MovabilityCertificate:
-    """One verified move per member (level 1) or per distinct pair (level 2)."""
+    """One verified move per member (level 1) or per distinct pair (level 2).
+
+    In JSON a level-1 move names its ``vertex`` and replacement as ints, a
+    level-2 move its ``pair`` and replacement as lists.
+    """
 
     level: int
-    moves: tuple[VertexMove | PairMove, ...]
+    moves: tuple[Move, ...]
 
     def __bool__(self) -> bool:
         return True
 
     def to_json_dict(self) -> dict:
+        key, shape = ("vertex", itemgetter(0)) if self.level == 1 else ("pair", list)
         moves = []
         for m in self.moves:
-            entry: dict = (
-                {"vertex": m.vertex} if isinstance(m, VertexMove) else {"pair": list(m.pair)}
-            )
-            if m.is_drop:
-                entry["action"] = "drop"
-            else:
-                entry["action"] = "swap"
-                entry["replacement"] = (
-                    m.replacement if isinstance(m, VertexMove) else list(m.replacement)
-                )
+            entry: dict = {key: shape(m.members), "action": "drop" if m.is_drop else "swap"}
+            if not m.is_drop:
+                entry["replacement"] = shape(m.replacement)
             moves.append(entry)
         return {"level": self.level, "moves": moves}
 
@@ -173,11 +164,11 @@ def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | Mo
     for v in bits(s):
         lost = once & closed[v]
         if not lost:
-            moves.append(VertexMove(v))
+            moves.append(Move((v,)))
             continue
         for u in bits(g.adj[v] & ~s):
             if not lost & ~closed[u]:
-                moves.append(VertexMove(v, u))
+                moves.append(Move((v,), (u,)))
                 break
         else:
             return MovabilityFailure("immovable-vertex", v)
@@ -209,7 +200,7 @@ def is_2movable_dominating(
         nx, ny = closed[x], closed[y]
         lost = once & (nx | ny) | twice & nx & ny
         if not lost:
-            moves.append(PairMove((x, y)))
+            moves.append(Move((x, y)))
             continue
         # the first (u, v) whose closed neighbourhoods cover what the pair loses
         outside_y = g.adj[y] & ~s
@@ -220,7 +211,7 @@ def is_2movable_dominating(
                     break
             else:
                 continue
-            moves.append(PairMove((x, y), (u, v)))
+            moves.append(Move((x, y), (u, v)))
             break
         else:
             return MovabilityFailure("immovable-pair", (x, y))
@@ -312,60 +303,44 @@ def verify_certificate(
 ) -> bool:
     """Independently re-check a certificate against the definition.
 
-    Raises MalformedCertificateError when the move list does not cover
-    exactly the required members (level 1) or distinct pairs (level 2).
-    Returns False when coverage is right but s does not dominate, s has
-    fewer members than the level (so a level-2 certificate needs a pair),
-    or some move does not hold: a drop that breaks domination, a
-    replacement inside s, a replacement not adjacent to its member, or
-    coinciding replacements in DISTINCT mode.  Only plain is_dominating
-    is used, never the solver's predicates.
+    Raises MalformedCertificateError when the level is not 1 or 2, when a
+    move's members, or its replacement, do not number exactly ``level``,
+    or when the moves do not cover exactly the required members (level 1)
+    or distinct pairs (level 2).  Returns False when the shape is right
+    but s does not dominate, s has fewer members than the level (so a
+    level-2 certificate needs a pair), or some move does not hold: a drop
+    that breaks domination, a replacement inside s or outside 0..n-1, a
+    replacement not adjacent to its own member, coinciding replacements in
+    DISTINCT mode, or a swap that breaks domination.  Only the adjacency
+    and plain is_dominating are used, never the solver's predicates.
     """
     check_vertex_set(g, s)
+    level = cert.level
+    if level not in (1, 2):
+        raise MalformedCertificateError(f"unknown certificate level {level}")
+    for m in cert.moves:
+        if len(m.members) != level or not (m.is_drop or len(m.replacement) == level):
+            raise MalformedCertificateError("move shape does not match the certificate level")
     members = vertex_list(s)
-    if cert.level == 1:
-        wanted = [(v,) for v in members]
-        got = [(m.vertex,) for m in cert.moves if isinstance(m, VertexMove)]
-    elif cert.level == 2:
-        wanted = list(combinations(members, 2))
-        got = [m.pair for m in cert.moves if isinstance(m, PairMove)]
-    else:
-        raise MalformedCertificateError(f"unknown certificate level {cert.level}")
-    if len(got) != len(cert.moves):
-        raise MalformedCertificateError("move shape does not match the certificate level")
-    if sorted(got) != wanted:
+    if sorted(m.members for m in cert.moves) != list(combinations(members, level)):
         raise MalformedCertificateError(
             "moves must cover every required member or pair exactly once"
         )
-    if len(members) < cert.level or not is_dominating(g, s):
+    if len(members) < level or not is_dominating(g, s):
         return False
 
+    distinct = mode is ReplacementMode.DISTINCT
     for move in cert.moves:
-        if isinstance(move, VertexMove):
-            removed = 1 << move.vertex
-            if move.is_drop:
-                if not is_dominating(g, s & ~removed):
+        rest = s
+        for x in move.members:
+            rest &= ~(1 << x)
+        if not move.is_drop:
+            if distinct and len(set(move.replacement)) < level:
+                return False
+            for x, u in zip(move.members, move.replacement):
+                if not 0 <= u < g.n or s >> u & 1 or not g.adj[x] >> u & 1:
                     return False
-                continue
-            u = move.replacement
-            if s >> u & 1 or not g.adj[move.vertex] >> u & 1:
-                return False
-            if not is_dominating(g, (s & ~removed) | 1 << u):
-                return False
-        else:
-            x, y = move.pair
-            removed = 1 << x | 1 << y
-            if move.is_drop:
-                if not is_dominating(g, s & ~removed):
-                    return False
-                continue
-            u, v = move.replacement
-            if mode is ReplacementMode.DISTINCT and u == v:
-                return False
-            if s >> u & 1 or s >> v & 1:
-                return False
-            if not (g.adj[x] >> u & 1 and g.adj[y] >> v & 1):
-                return False
-            if not is_dominating(g, (s & ~removed) | 1 << u | 1 << v):
-                return False
+                rest |= 1 << u
+        if not is_dominating(g, rest):
+            return False
     return True

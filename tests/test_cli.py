@@ -54,12 +54,31 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["value"] == 1
 
-    def test_human_output(self, capsys):
-        code, out, _ = run_cli(["compute", "gamma-m1", "--family", "path:4"], capsys)
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["gamma-m1", "--family", "cycle:6"],
+                "gamma-m1\nvalue: 3\nwitness: 0 1 3\ncertificate:\n"
+                "  vertex 0: swap 5\n  vertex 1: drop\n  vertex 3: swap 4\n",
+            ),
+            (
+                ["gamma-m2", "--family", "star:4"],
+                "gamma-m2 mode=literal\nvalue: 3\nwitness: 1 2 3\ncertificate:\n"
+                "  pair 1,2: swap 0,0\n  pair 1,3: swap 0,0\n  pair 2,3: swap 0,0\n",
+            ),
+            (
+                ["gamma-m2", "--family", "path:4", "--mode", "distinct"],
+                "gamma-m2 mode=distinct\nvalue: 2\nwitness: 0 2\ncertificate:\n"
+                "  pair 0,2: swap 1,3\n",
+            ),
+        ],
+        ids=["m1-cycle6", "m2-star4", "m2-distinct-path4"],
+    )
+    def test_human_output(self, argv, expected, capsys):
+        code, out, _ = run_cli(["compute", *argv], capsys)
         assert code == 0
-        assert "value: 2" in out
-        assert "witness: 0 2" in out
-        assert "swap" in out
+        assert out == expected
 
     def test_bad_family_spec(self, capsys):
         code, _, err = run_cli(["compute", "gamma", "--family", "path:x"], capsys)

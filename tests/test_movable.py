@@ -10,9 +10,8 @@ from movdom import (
     MalformedCertificateError,
     MovabilityCertificate,
     MovabilityFailure,
-    PairMove,
+    Move,
     ReplacementMode,
-    VertexMove,
     SolverResult,
     complete,
     cycle,
@@ -67,10 +66,7 @@ def _brute_certificate(g, s, level, distinct):
     for group, found in _first_moves(g, s, level, distinct):
         if found is None:
             return None
-        if level == 1:
-            moves.append(VertexMove(group[0], found[0] if found else None))
-        else:
-            moves.append(PairMove(group, found or None))
+        moves.append(Move(group, found or None))
     return MovabilityCertificate(level, tuple(moves))
 
 
@@ -81,8 +77,8 @@ def _check(g, s, level, mode):
 
 
 FORGED = [
-    (star(4), mask_of(1, 2), MovabilityCertificate(2, (PairMove((1, 2), (0, 0)),))),
-    (star(4), mask_of(1), MovabilityCertificate(1, (VertexMove(1, 0),))),
+    (star(4), mask_of(1, 2), MovabilityCertificate(2, (Move((1, 2), (0, 0)),))),
+    (star(4), mask_of(1), MovabilityCertificate(1, (Move((1,), (0,)),))),
     (complete(2), mask_of(0), MovabilityCertificate(2, ())),
     (path(2), 0, MovabilityCertificate(1, ())),
 ]
@@ -93,16 +89,16 @@ class TestOneMovable:
     def test_p4_middle_pair_swaps_outward(self):
         cert = is_1movable_dominating(path(4), mask_of(1, 2))
         assert cert
-        assert cert.moves == (VertexMove(1, 0), VertexMove(2, 3))
+        assert cert.moves == (Move((1,), (0,)), Move((2,), (3,)))
 
     def test_k4_singleton_swaps_anywhere(self):
         cert = is_1movable_dominating(complete(4), mask_of(0))
-        assert cert.moves == (VertexMove(0, 1),)
+        assert cert.moves == (Move((0,), (1,)),)
 
     def test_p4_endpoints(self):
         cert = is_1movable_dominating(path(4), mask_of(0, 3))
         assert cert
-        assert cert.moves == (VertexMove(0, 1), VertexMove(3, 2))
+        assert cert.moves == (Move((0,), (1,)), Move((3,), (2,)))
 
     def test_leaf_does_not_dominate(self):
         outcome = is_1movable_dominating(star(4), mask_of(1))
@@ -124,15 +120,15 @@ class TestOneMovable:
 class TestTwoMovable:
     def test_p4_distinct_swap(self):
         cert = is_2movable_dominating(path(4), mask_of(1, 2), DISTINCT)
-        assert cert.moves == (PairMove((1, 2), (0, 3)),)
+        assert cert.moves == (Move((1, 2), (0, 3)),)
 
     def test_star_literal_reuses_center(self):
         cert = is_2movable_dominating(star(4), mask_of(1, 2, 3), LITERAL)
         assert cert
         assert cert.moves == (
-            PairMove((1, 2), (0, 0)),
-            PairMove((1, 3), (0, 0)),
-            PairMove((2, 3), (0, 0)),
+            Move((1, 2), (0, 0)),
+            Move((1, 3), (0, 0)),
+            Move((2, 3), (0, 0)),
         )
 
     def test_star_distinct_has_no_move(self):
@@ -415,13 +411,20 @@ class TestVerifyCertificate:
 
     def test_tampered_swap_into_s_fails(self):
         s = mask_of(1, 2)
-        tampered = MovabilityCertificate(2, (PairMove((1, 2), (1, 3)),))
+        tampered = MovabilityCertificate(2, (Move((1, 2), (1, 3)),))
         assert not verify_certificate(path(4), s, tampered, DISTINCT)
 
     def test_non_adjacent_replacement_fails(self):
         s = mask_of(1, 2)
-        tampered = MovabilityCertificate(2, (PairMove((1, 2), (3, 0)),))
+        tampered = MovabilityCertificate(2, (Move((1, 2), (3, 0)),))
         assert not verify_certificate(path(4), s, tampered, DISTINCT)
+
+    def test_second_replacement_must_neighbour_second_member(self):
+        # {0, 2} dominates P4 either way round, but 0 is no neighbour of 3
+        s = mask_of(1, 3)
+        assert verify_certificate(path(4), s, MovabilityCertificate(2, (Move((1, 3), (0, 2)),)))
+        tampered = MovabilityCertificate(2, (Move((1, 3), (2, 0)),))
+        assert not verify_certificate(path(4), s, tampered)
 
     def test_missing_pair_is_malformed(self):
         cert = is_2movable_dominating(star(4), mask_of(1, 2, 3), LITERAL)
@@ -436,9 +439,38 @@ class TestVerifyCertificate:
             verify_certificate(path(4), mask_of(1, 2), doubled, LITERAL)
 
     def test_wrong_move_shape_is_malformed(self):
-        cert = MovabilityCertificate(1, (PairMove((1, 2), None),))
+        cert = MovabilityCertificate(1, (Move((1, 2), None),))
         with pytest.raises(MalformedCertificateError, match="shape"):
             verify_certificate(path(4), mask_of(1, 2), cert)
+
+    @pytest.mark.parametrize(
+        "level, moves",
+        [
+            (2, (Move((1, 2), (3,)),)),
+            (1, (Move((1,), (0, 3)), Move((2,), (3,)))),
+            (1, (Move((1,), ()), Move((2,), (3,)))),
+        ],
+        ids=["pair-one-replacement", "vertex-two-replacements", "vertex-empty-replacement"],
+    )
+    def test_replacement_of_wrong_length_is_malformed(self, level, moves):
+        cert = MovabilityCertificate(level, moves)
+        with pytest.raises(MalformedCertificateError, match="move shape"):
+            verify_certificate(path(4), mask_of(1, 2), cert)
+
+    @pytest.mark.parametrize(
+        "level, moves",
+        [
+            (2, (Move((1, 2), (-1, 3)),)),
+            (2, (Move((1, 2), (0, 4)),)),
+            (1, (Move((1,), (-2,)), Move((2,), (3,)))),
+            (1, (Move((1,), (0,)), Move((2,), (4,)))),
+        ],
+        ids=["pair-negative", "pair-past-n", "vertex-negative", "vertex-past-n"],
+    )
+    def test_replacement_outside_the_graph_fails(self, level, moves):
+        # no such vertex is a neighbour, so the move does not hold
+        cert = MovabilityCertificate(level, moves)
+        assert not verify_certificate(path(4), mask_of(1, 2), cert)
 
     def test_literal_cert_can_fail_distinct_check(self):
         s = mask_of(1, 2, 3)
@@ -502,8 +534,8 @@ class TestVerifyCertificate:
         assert is_dominating(g, result.witness)
         assert verify_certificate(g, result.witness, result.certificate)
         # {1, 4} still dominates C6, but 4 is no neighbour of 0
-        assert result.certificate.moves == (PairMove((0, 3), (1, 4)),)
-        forged = MovabilityCertificate(2, (PairMove((0, 3), (4, 1)),))
+        assert result.certificate.moves == (Move((0, 3), (1, 4)),)
+        forged = MovabilityCertificate(2, (Move((0, 3), (4, 1)),))
         assert not verify_certificate(g, result.witness, forged)
 
     def test_failure_object_is_falsy(self):
