@@ -41,16 +41,26 @@ set for every requested invariant that has no witness yet.  The two modes
 share it too.  Every DISTINCT certificate is also a LITERAL one, so no set
 before the LITERAL witness is DISTINCT-movable: DISTINCT is tested only
 from that set onwards, and its witness is still the first DISTINCT-movable
-set in scan order.  (On all 27,470 labeled connected graphs of order 4-6
-a LITERAL witness exists; each of the 1,875 with no DISTINCT witness has
-a leaf.)
+set in scan order.
 
 The scan skips the 2-movable tests of every set that holds a leaf l and
 its one neighbour s (the leaf rule).  No such set is 2-movable in either
 mode: dropping the pair {l, s} leaves l uncovered, and l has no neighbour
-outside the set to swap to.  A skipped set would fail its test anyway, so
+outside the set to swap to.
+
+A support with two leaves l1 and l2 is a strong support s (Haynes,
+Hedetniemi and Slater).  (a) No set holding s is 2-movable, in either
+mode: with a leaf it falls to the leaf rule, and without one, dropping s
+with any other member x uncovers l1 and l2.  x's replacement covers
+neither, and no single neighbour of s covers both.  So the scan skips
+every set that holds s too.  (b) No set at all is 2-movable
+in DISTINCT: by (a) s is outside the set, so l1 and l2 are inside, and
+the pair {l1, l2} can only be swapped to (s, s).  So DISTINCT is reported
+absent without a scan.  A skipped set would fail its test anyway, so
 every value, least witness and certificate stays the same; gamma and
-gamma_m1 still see every set.
+gamma_m1 still see every set.  On all 27,470 labeled connected graphs of
+order 4-6 a LITERAL witness exists, and the 1,875 with no DISTINCT
+witness are exactly the 1,875 with a strong support.
 """
 
 from __future__ import annotations
@@ -78,8 +88,9 @@ _MODES = tuple(ReplacementMode)
 
 
 class MalformedCertificateError(ValueError):
-    """A certificate whose moves are not even well shaped for its level, or
-    do not cover exactly the required members or pairs."""
+    """A certificate whose moves are not even well shaped for its level, hold
+    values of the wrong type, or do not cover exactly the required members
+    or pairs."""
 
 
 class Move(NamedTuple):
@@ -241,19 +252,28 @@ def solve_jointly(
     least at 2 otherwise.  Each movable invariant's witness is the first
     set in scan order that passes its predicate.  When both modes are asked for,
     DISTINCT is tested only from the LITERAL witness onwards (see the
-    module docstring).  A set holding a leaf and its one neighbour is not
-    tested for 2-movability in any mode: dropping that pair uncovers the
-    leaf, which has no outside neighbour to swap to.  The scan stops once
-    every requested invariant has a witness, and reports absence for any
-    that has none after the whole vertex set.
+    module docstring).  A set holding a leaf and its one neighbour, or a
+    strong support (a vertex with two leaves), is not tested for
+    2-movability in any mode: it would fail.  When g has a strong support,
+    DISTINCT is reported absent without testing any set.  The scan stops
+    once every requested invariant has a witness, and reports absence for
+    any that has none after the whole vertex set.
     """
     check_solver_order(g.n)
     first = m1_found = None
     # the modes still without a witness, LITERAL first; only the head is tested
     pending = [m for m in _MODES if m in modes]
     found = {}
-    # N[l] = {l, s} of each leaf l: no set holding one whole is 2-movable
-    leaf_pairs = {nv for nv in g.closed if nv.bit_count() == 2}
+    # N[l] = {l, s} of each leaf l; s is a strong support if it has two leaves
+    closed = g.closed
+    leaves = [l for l, nv in enumerate(closed) if nv.bit_count() == 2]
+    supports = [closed[l] & ~(1 << l) for l in leaves]
+    strong = {s for s in supports if supports.count(s) > 1}
+    # with a strong support no set is DISTINCT-movable (module docstring)
+    if strong and ReplacementMode.DISTINCT in pending:
+        pending.remove(ReplacementMode.DISTINCT)
+    # no set holding a leaf and its support, or a strong support, is 2-movable
+    skip = strong.union(closed[l] for l in leaves)
     for mask in dominating_sets(g, 1 if gamma or m1 else 2):
         if first is None:
             first = mask
@@ -261,7 +281,7 @@ def solve_jointly(
             cert = is_1movable_dominating(g, mask)
             if cert:
                 m1_found = SolverResult(mask.bit_count(), mask, cert)
-        if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in leaf_pairs):
+        if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in skip):
             while pending:
                 cert = is_2movable_dominating(g, mask, pending[0])
                 if not cert:
@@ -285,12 +305,14 @@ def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> Solve
     """Exact 2-movable domination number under the given replacement mode.
 
     Checks every dominating set with at least two members, smallest
-    first, up to the whole vertex set, except those the leaf rule (module
-    docstring) already rules out: 2-movability is not closed under
-    supersets, so no cardinality can be skipped once one fails.  Returns
-    absence when none qualifies.  ``solve_jointly`` gives both modes from
-    one scan, with the same witnesses: the DISTINCT witness never comes
-    before the LITERAL one, since a DISTINCT certificate is a LITERAL one.
+    first, up to the whole vertex set, except those that hold a leaf and
+    its support, or a strong support (module docstring): 2-movability is
+    not closed under supersets, so no cardinality can be skipped once one
+    fails.  Returns absence when none qualifies.  In DISTINCT mode a graph
+    with a strong support is reported absent without checking any set.
+    ``solve_jointly`` gives both modes from one scan, with the same
+    witnesses: the DISTINCT witness never comes before the LITERAL one,
+    since a DISTINCT certificate is a LITERAL one.
     """
     return solve_jointly(g, modes=(mode,)).m2[mode]
 
@@ -305,42 +327,49 @@ def verify_certificate(
 
     Raises MalformedCertificateError when the level is not 1 or 2, when a
     move's members, or its replacement, do not number exactly ``level``,
-    or when the moves do not cover exactly the required members (level 1)
-    or distinct pairs (level 2).  Returns False when the shape is right
-    but s does not dominate, s has fewer members than the level (so a
-    level-2 certificate needs a pair), or some move does not hold: a drop
-    that breaks domination, a replacement inside s or outside 0..n-1, a
+    when the moves do not cover exactly the required members (level 1) or
+    distinct pairs (level 2), or when a move holds a value of the wrong
+    type (a str or float vertex, a bare int replacement) that the checks
+    cannot compare or shift.  Returns False when the shape is right but s
+    does not dominate, s has fewer members than the level (so a level-2
+    certificate needs a pair), or some move does not hold: a drop that
+    breaks domination, a replacement inside s or outside 0..n-1, a
     replacement not adjacent to its own member, coinciding replacements in
     DISTINCT mode, or a swap that breaks domination.  Only the adjacency
     and plain is_dominating are used, never the solver's predicates.
     """
     check_vertex_set(g, s)
-    level = cert.level
-    if level not in (1, 2):
-        raise MalformedCertificateError(f"unknown certificate level {level}")
-    for m in cert.moves:
-        if len(m.members) != level or not (m.is_drop or len(m.replacement) == level):
-            raise MalformedCertificateError("move shape does not match the certificate level")
-    members = vertex_list(s)
-    if sorted(m.members for m in cert.moves) != list(combinations(members, level)):
-        raise MalformedCertificateError(
-            "moves must cover every required member or pair exactly once"
-        )
-    if len(members) < level or not is_dominating(g, s):
-        return False
-
-    distinct = mode is ReplacementMode.DISTINCT
-    for move in cert.moves:
-        rest = s
-        for x in move.members:
-            rest &= ~(1 << x)
-        if not move.is_drop:
-            if distinct and len(set(move.replacement)) < level:
-                return False
-            for x, u in zip(move.members, move.replacement):
-                if not 0 <= u < g.n or s >> u & 1 or not g.adj[x] >> u & 1:
-                    return False
-                rest |= 1 << u
-        if not is_dominating(g, rest):
+    # a value of the wrong type (a str or float vertex, a bare int replacement)
+    # fails in len, a comparison or a shift: malformed, at no cost per value
+    try:
+        level = cert.level
+        if level not in (1, 2):
+            raise MalformedCertificateError(f"unknown certificate level {level}")
+        for m in cert.moves:
+            if len(m.members) != level or not (m.is_drop or len(m.replacement) == level):
+                raise MalformedCertificateError("move shape does not match the certificate level")
+        members = vertex_list(s)
+        if sorted(m.members for m in cert.moves) != list(combinations(members, level)):
+            raise MalformedCertificateError(
+                "moves must cover every required member or pair exactly once"
+            )
+        if len(members) < level or not is_dominating(g, s):
             return False
-    return True
+
+        distinct = mode is ReplacementMode.DISTINCT
+        for move in cert.moves:
+            rest = s
+            for x in move.members:
+                rest &= ~(1 << x)
+            if not move.is_drop:
+                if distinct and len(set(move.replacement)) < level:
+                    return False
+                for x, u in zip(move.members, move.replacement):
+                    if not 0 <= u < g.n or s >> u & 1 or not g.adj[x] >> u & 1:
+                        return False
+                    rest |= 1 << u
+            if not is_dominating(g, rest):
+                return False
+        return True
+    except TypeError as err:
+        raise MalformedCertificateError(f"move holds a value of the wrong type: {err}") from err

@@ -30,3 +30,17 @@ def graphs_with_leaves(draw, max_n: int = 9) -> Graph:
     supports = draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=max_n - base.n))
     leaves = [(s, base.n + i) for i, s in enumerate(supports)]
     return from_edge_list(base.n + len(supports), [*base.edges(), *leaves])
+
+
+@st.composite
+def graphs_with_strong_support(draw, max_n: int = 9, connected: bool = False) -> Graph:
+    """An arbitrary graph with two or more pendant vertices on one drawn support, max_n
+    vertices in all.  With ``connected``, each base vertex but 0 also gets a lower neighbour."""
+    base = draw(graphs(1, max_n - 2))
+    edges = base.edges()
+    if connected:
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(1, base.n)]
+    support = draw(st.integers(0, base.n - 1))
+    count = draw(st.integers(2, max_n - base.n))
+    leaves = [(support, base.n + i) for i in range(count)]
+    return from_edge_list(base.n + count, [*edges, *leaves])

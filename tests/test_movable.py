@@ -16,6 +16,7 @@ from movdom import (
     complete,
     cycle,
     dominating_sets,
+    enumerate_connected_classes,
     enumerate_connected_graphs,
     from_edge_list,
     gamma,
@@ -34,7 +35,7 @@ from movdom import (
     vertex_list,
     verify_certificate,
 )
-from strategies import graphs, graphs_with_leaves, graphs_with_subset
+from strategies import graphs, graphs_with_leaves, graphs_with_strong_support, graphs_with_subset
 
 LITERAL = ReplacementMode.LITERAL
 DISTINCT = ReplacementMode.DISTINCT
@@ -328,6 +329,10 @@ class TestJointScan:
             distinct = [s for s, m in checked if m is DISTINCT]
             # LITERAL up to its witness, DISTINCT from there to its own witness or the end
             assert literal[-1] == found[LITERAL].witness
+            if _strong_supports(g):
+                # no DISTINCT witness exists, so no set is tested for one
+                assert not distinct and not found[DISTINCT].exists
+                continue
             assert distinct[0] == found[LITERAL].witness
             assert distinct[-1] == found[DISTINCT].witness or not found[DISTINCT].exists
             assert checked.index((distinct[0], DISTINCT)) == len(literal)
@@ -397,11 +402,67 @@ class TestLeafRule:
         assert not any(_holds_leaf_pair(s, pairs) for s in checked)
 
     def test_scan_check_count_without_witness(self):
-        # no DISTINCT witness, so the scan runs to n over 3,673 dominating
-        # sets, of which 630 hold no leaf-support pair
-        found, checked = self._checked_sets(gamma_m2, random_connected_graph(14, 0.15, 3), DISTINCT)
+        # vertex 8 has two leaves, so DISTINCT has no witness and is decided
+        # without a check (a scan to n tested 630 of 3,673 dominating sets),
+        # and LITERAL skips every set holding 8 (214 checks without that skip)
+        g = random_connected_graph(14, 0.15, 3)
+        found, checked = self._checked_sets(gamma_m2, g, DISTINCT)
         assert not found.exists
-        assert len(checked) == 630
+        assert len(checked) == 0
+        found, checked = self._checked_sets(gamma_m2, g, LITERAL)
+        assert found.exists
+        assert len(checked) == 12
+
+
+def _strong_supports(g):
+    """The mask of the vertices with two or more neighbours of degree 1."""
+    return mask_of(*(v for v in range(g.n) if sum(g.degree(u) == 1 for u in g.neighbors(v)) > 1))
+
+
+class TestStrongSupportRule:
+    """No set holding a strong support is 2-movable, and no set at all is in DISTINCT."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_strong_support(9, connected=True))
+    def test_matches_naive(self, g):
+        found = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)).m2
+        view = _view(g)
+        assert not found[DISTINCT].exists
+        assert naive.naive_gamma_m2(view, True) == (None, None)
+        value, witness = naive.naive_gamma_m2(view, False)
+        assert found[LITERAL].value == value
+        assert found[LITERAL].witness == (None if witness is None else mask_of(*witness))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_strong_support(9))
+    def test_scan_never_tests_a_strong_support(self, g):
+        checked = []
+        predicate = movdom.movable.is_2movable_dominating
+
+        def recording(g, s, mode):
+            checked.append((s, mode))
+            return predicate(g, s, mode)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(movdom.movable, "is_2movable_dominating", recording)
+            found = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)).m2
+        strong = _strong_supports(g)
+        assert strong and not found[DISTINCT].exists
+        assert not any(s & strong for s, _ in checked)
+        assert all(mode is LITERAL for _, mode in checked)
+
+    def test_distinct_absent_exactly_with_strong_support(self):
+        # labeled graphs of order 4-6, counted through their classes
+        absent = with_strong = 0
+        for n in range(4, 7):
+            for g, size in enumerate_connected_classes(n):
+                found = solve_jointly(g, modes=(LITERAL, DISTINCT)).m2
+                strong = bool(_strong_supports(g))
+                assert found[LITERAL].exists
+                assert found[DISTINCT].exists is not strong
+                absent += size * (not found[DISTINCT].exists)
+                with_strong += size * strong
+        assert absent == with_strong == 1875
 
 
 class TestVerifyCertificate:
@@ -471,6 +532,16 @@ class TestVerifyCertificate:
         # no such vertex is a neighbour, so the move does not hold
         cert = MovabilityCertificate(level, moves)
         assert not verify_certificate(path(4), mask_of(1, 2), cert)
+
+    @pytest.mark.parametrize(
+        "move",
+        [Move((1,), 0), Move((1,), ("a",)), Move((1,), (0.0,)), Move(("1",), None)],
+        ids=["int-replacement", "str-replacement", "float-replacement", "str-member"],
+    )
+    def test_value_of_wrong_type_is_malformed(self, move):
+        cert = MovabilityCertificate(1, (move, Move((2,), (3,))))
+        with pytest.raises(MalformedCertificateError, match="wrong type"):
+            verify_certificate(path(4), mask_of(1, 2), cert)
 
     def test_literal_cert_can_fail_distinct_check(self):
         s = mask_of(1, 2, 3)
