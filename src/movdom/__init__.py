@@ -1,19 +1,17 @@
 """Exact domination and movable-domination invariants on small graphs.
 
-Core pieces: immutable bitmask graphs with named families and labeled
-connected enumeration; join and corona products with provenance layouts;
-exact solvers for the domination number and the 1- and 2-movable
-variants, returning witnesses and re-checkable certificates; and a
-harness that validates the package's numbered claims on instance pools.
+Core pieces: immutable bitmask graphs with named families and connected
+enumeration by isomorphism class; join and corona products with provenance
+layouts; exact solvers for the domination number and the 1- and 2-movable
+variants, returning witnesses and re-checkable certificates; and a harness
+that validates the package's numbered claims on instance pools.
 """
 
 from .domination import (
     SOLVER_MAX_ORDER,
     SolverResult,
-    ascending_k_subsets,
     dominating_sets,
     gamma,
-    greedy_repair,
     is_dominating,
     sample_dominating_sets,
 )
@@ -27,13 +25,11 @@ from .graph import (
     complete_bipartite,
     cycle,
     enumerate_connected_classes,
-    enumerate_connected_graphs,
     format_edge_list,
     from_edge_list,
     is_connected,
     make_family,
     mask_of,
-    parse_edge_list,
     path,
     random_connected_graph,
     star,

@@ -54,6 +54,7 @@ def is_dominating(g: Graph, s: VertexSet) -> bool:
     return closed_neighborhood(g, s) == g.full_mask
 
 
+# No caller in the package: kept because the tests and bench/tracer.py read it.
 def ascending_k_subsets(n: int, k: int) -> Iterator[VertexSet]:
     """All k-element masks over n bits in ascending numeric order."""
     if k == 0:

@@ -4,8 +4,9 @@ Vertices are indices 0..n-1.  A set of vertices is an ``int`` bitmask
 (bit v set means vertex v is a member); masks are the currency every
 predicate and solver in this package trades in.  Adjacency is stored as
 one neighbor bitmask per vertex.  The connected graphs of order up to 6
-are enumerated either labeled, one by one, or one member per isomorphism
-class together with the number of labeled graphs in the class.
+are enumerated one member per isomorphism class, together with the number
+of labeled graphs in the class.  Labeled enumeration, one graph at a time,
+is kept for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ class Graph:
     def full_mask(self) -> VertexSet:
         return (1 << self.n) - 1
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(bits(self.adj[v]))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
@@ -103,10 +91,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for order {self.n}")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -222,6 +206,7 @@ def is_connected(g: Graph) -> bool:
         visited = grown
 
 
+# No caller in the package: kept because the tests and bench/tracer.py read it.
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Every labeled connected simple graph on n vertices, exactly once.
 
@@ -365,11 +350,6 @@ def read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     if n is None:
         raise ValueError("missing vertex-count header line")
     return n, edges
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format (see ``read_edge_list``) into a graph."""
-    return from_edge_list(*read_edge_list(text))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -87,6 +87,12 @@ class ReplacementMode(Enum):
 _MODES = tuple(ReplacementMode)
 
 
+def _check_mode(mode: ReplacementMode) -> None:
+    """Reject anything but a ReplacementMode member; a str such as "distinct" is not one."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown replacement mode {mode!r}: pass a ReplacementMode member")
+
+
 class MalformedCertificateError(ValueError):
     """A certificate whose moves are not even well shaped for its level, hold
     values of the wrong type, or do not cover exactly the required members
@@ -194,8 +200,10 @@ def is_2movable_dominating(
     Both ways of orienting a swap onto an unordered pair are covered by
     the scan: a replacement serving the higher member appears as the
     transposed candidate.  Singletons are rejected outright, which pins
-    the 2-movable invariant's floor at 2.
+    the 2-movable invariant's floor at 2.  A mode that is not a
+    ReplacementMode member raises ValueError.
     """
+    _check_mode(mode)
     check_vertex_set(g, s)
     if s == 0:
         raise ValueError("the empty set cannot be checked for movability")
@@ -257,9 +265,12 @@ def solve_jointly(
     2-movability in any mode: it would fail.  When g has a strong support,
     DISTINCT is reported absent without testing any set.  The scan stops
     once every requested invariant has a witness, and reports absence for
-    any that has none after the whole vertex set.
+    any that has none after the whole vertex set.  A mode that is not a
+    ReplacementMode member raises ValueError.
     """
     check_solver_order(g.n)
+    for mode in modes:
+        _check_mode(mode)
     first = m1_found = None
     # the modes still without a witness, LITERAL first; only the head is tested
     pending = [m for m in _MODES if m in modes]
@@ -336,8 +347,10 @@ def verify_certificate(
     breaks domination, a replacement inside s or outside 0..n-1, a
     replacement not adjacent to its own member, coinciding replacements in
     DISTINCT mode, or a swap that breaks domination.  Only the adjacency
-    and plain is_dominating are used, never the solver's predicates.
+    and plain is_dominating are used, never the solver's predicates.  A
+    mode that is not a ReplacementMode member raises ValueError.
     """
+    _check_mode(mode)
     check_vertex_set(g, s)
     # a value of the wrong type (a str or float vertex, a bare int replacement)
     # fails in len, a comparison or a shift: malformed, at no cost per value

@@ -26,7 +26,6 @@ from movdom import (
     complete,
     corona,
     cycle,
-    enumerate_connected_graphs,
     gamma,
     gamma_m1,
     gamma_m2,
@@ -39,6 +38,7 @@ from movdom import (
     vertex_list,
     verify_lemma_3_5,
 )
+from movdom.graph import enumerate_connected_graphs
 
 MODES = (ReplacementMode.LITERAL, ReplacementMode.DISTINCT)
 

@@ -7,13 +7,10 @@ from hypothesis import given, settings
 import movdom.domination
 import naive
 from movdom import (
-    ascending_k_subsets,
     complete,
     cycle,
     dominating_sets,
-    enumerate_connected_graphs,
     gamma,
-    greedy_repair,
     is_dominating,
     mask_of,
     path,
@@ -22,7 +19,8 @@ from movdom import (
     star,
     vertex_list,
 )
-from movdom.domination import dominating_samples
+from movdom.domination import ascending_k_subsets, dominating_samples, greedy_repair
+from movdom.graph import enumerate_connected_graphs
 from strategies import graphs, graphs_with_subset
 
 

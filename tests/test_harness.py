@@ -17,7 +17,6 @@ from movdom import (
     corona,
     cycle,
     enumerate_connected_classes,
-    enumerate_connected_graphs,
     from_edge_list,
     gamma_m2,
     is_2movable_dominating,
@@ -37,6 +36,7 @@ from movdom import (
     verify_theorem_3_3,
     verify_theorem_3_6,
 )
+from movdom.graph import enumerate_connected_graphs
 
 
 class TestClaimReport:
@@ -387,6 +387,21 @@ class TestBenchmarkNames:
             module = importlib.import_module(f"movdom.{layer}")
             assert callable(getattr(module, fn, None)), f"movdom.{layer}.{fn}"
         assert set(tracer.CLAIM_RUNNERS.values()) == set(CLAIM_IDS)
+
+    def test_tracer_installs_and_uninstalls(self):
+        """The tracer wraps every name it lists and puts each original back."""
+        importlib.import_module("movdom.cli")  # as bench/run.py does, so its names are wrapped too
+        tracer = _load_bench_tracer()
+        names = [(importlib.import_module(f"movdom.{layer}"), fn) for layer, fn, _ in tracer.WRAPPED]
+        originals = [getattr(module, fn) for module, fn in names]
+        traced = tracer.Tracer()
+        try:
+            traced.install()
+            wrapped = [getattr(module, fn) for module, fn in names]
+        finally:
+            traced.uninstall()
+        assert not any(w is o for w, o in zip(wrapped, originals))
+        assert all(getattr(module, fn) is o for (module, fn), o in zip(names, originals))
 
 
 def _row(found):

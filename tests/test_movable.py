@@ -17,12 +17,10 @@ from movdom import (
     cycle,
     dominating_sets,
     enumerate_connected_classes,
-    enumerate_connected_graphs,
     from_edge_list,
     gamma,
     gamma_m1,
     gamma_m2,
-    greedy_repair,
     is_1movable_dominating,
     is_2movable_dominating,
     is_dominating,
@@ -35,6 +33,8 @@ from movdom import (
     vertex_list,
     verify_certificate,
 )
+from movdom.domination import greedy_repair
+from movdom.graph import enumerate_connected_graphs
 from strategies import graphs, graphs_with_leaves, graphs_with_strong_support, graphs_with_subset
 
 LITERAL = ReplacementMode.LITERAL
@@ -416,7 +416,8 @@ class TestLeafRule:
 
 def _strong_supports(g):
     """The mask of the vertices with two or more neighbours of degree 1."""
-    return mask_of(*(v for v in range(g.n) if sum(g.degree(u) == 1 for u in g.neighbors(v)) > 1))
+    leafy = (sum(g.adj[u].bit_count() == 1 for u in vertex_list(g.adj[v])) for v in range(g.n))
+    return mask_of(*(v for v, leaves in enumerate(leafy) if leaves > 1))
 
 
 class TestStrongSupportRule:
@@ -619,6 +620,23 @@ class TestVerifyCertificate:
             "level": 2,
             "moves": [{"pair": [1, 2], "action": "swap", "replacement": [0, 3]}],
         }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: solve_jointly(path(4), modes=(mode,)),
+        lambda mode: is_2movable_dominating(star(4), mask_of(1, 2, 3), mode),
+        lambda mode: verify_certificate(
+            star(4), mask_of(1, 2, 3), is_2movable_dominating(star(4), mask_of(1, 2, 3)), mode
+        ),
+    ],
+    ids=["solve_jointly", "is_2movable_dominating", "verify_certificate"],
+)
+def test_mode_must_be_a_replacement_mode(call):
+    """A str is no mode: "distinct" used to read as LITERAL, or as no mode at all."""
+    with pytest.raises(ValueError, match="unknown replacement mode"):
+        call("distinct")
 
 
 class TestOneMovableOracle:
