@@ -80,19 +80,15 @@ def _json_out(payload: dict) -> None:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        family = args.family is not None
-        g = _read_graph(args.family if family else args.input, family, check_solver_order)
-        mode = ReplacementMode(args.mode)
-        if args.which == "gamma":
-            result = gamma(g)
-        elif args.which == "gamma-m1":
-            result = gamma_m1(g)
-        else:
-            result = gamma_m2(g, mode)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    family = args.family is not None
+    g = _read_graph(args.family if family else args.input, family, check_solver_order)
+    mode = ReplacementMode(args.mode)
+    if args.which == "gamma":
+        result = gamma(g)
+    elif args.which == "gamma-m1":
+        result = gamma_m1(g)
+    else:
+        result = gamma_m2(g, mode)
 
     payload: dict = {
         "schema": SCHEMA,
@@ -130,29 +126,20 @@ def _print_human_result(which: str, mode: ReplacementMode, result: SolverResult)
 
 
 def _cmd_build(args) -> int:
-    try:
-        left, right = (
-            _read_graph(spec.removeprefix("family:"), spec.startswith("family:"))
-            for spec in (args.left, args.right)
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    left, right = (
+        _read_graph(spec.removeprefix("family:"), spec.startswith("family:"))
+        for spec in (args.left, args.right)
+    )
     build = join if args.product == "join" else corona
     product, layout = build(left, right)
     layout_payload = {"schema": SCHEMA, "product": args.product, "n": product.n, **asdict(layout)}
 
     out_path = Path(args.output)
     sidecar_path = Path(str(out_path) + ".layout.json")
-    try:
-        out_path.write_text(format_edge_list(product), encoding="ascii")
-        sidecar_path.write_text(
-            json.dumps(layout_payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out_path.write_text(format_edge_list(product), encoding="ascii")
+    sidecar_path.write_text(
+        json.dumps(layout_payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    )
 
     summary = {
         "schema": SCHEMA,
@@ -173,18 +160,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    samples = args.samples
-    try:
-        budget = BudgetConfig(
-            max_order=args.max_order,
-            samples=100 if samples is None else samples,
-            movable_samples=50 if samples is None else samples,
-            seed=args.seed,
-        )
-        reports = run_all(budget, args.claim)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # a budget left off the command line keeps its BudgetConfig default
+    given = {"samples": args.samples, "movable_samples": args.samples, "seed": args.seed}
+    budget = BudgetConfig(args.max_order, **{k: v for k, v in given.items() if v is not None})
+    reports = run_all(budget, args.claim)
 
     if args.json:
         _json_out(
@@ -240,16 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest graph order in the default pools, 0..{ENUMERATION_MAX_ORDER} (default 5)",
     )
     p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a bad input, a failed read or write, or a bad value exits 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

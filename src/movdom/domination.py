@@ -71,12 +71,12 @@ def ascending_k_subsets(n: int, k: int) -> Iterator[VertexSet]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def dominating_sets(g: Graph, smallest: int) -> Iterator[VertexSet]:
-    """Every dominating set with at least ``smallest`` members.
+def dominating_sets(g: Graph) -> Iterator[VertexSet]:
+    """Every dominating set of g, so the first one is a minimum one.
 
     Sets come by ascending cardinality and, within one, by ascending
-    bitmask: the same order as filtering ``ascending_k_subsets``.  No size
-    below ceil(n / (1 + max degree)) is tried, as no smaller set dominates
+    bitmask: the same order as filtering ``ascending_k_subsets``.  The scan
+    starts at size ceil(n / (1 + max degree)), as no smaller set dominates
     (Haynes, Hedetniemi and Slater, *Fundamentals of Domination in Graphs*,
     1998).  Members are picked from the highest index down, with the
     covered mask carried along.  A branch is cut when some uncovered vertex
@@ -98,7 +98,7 @@ def dominating_sets(g: Graph, smallest: int) -> Iterator[VertexSet]:
     for t in range(n - 1, -1, -1):
         stuck[t] |= stuck[t + 1]
 
-    for k in range(max(smallest, 1, -(-n // most[n])), n + 1):
+    for k in range(-(-n // most[n]), n + 1):
         yield from _dominating_below(closed, stuck, most, full, 0, 0, n, k)
 
 
@@ -131,7 +131,7 @@ def _dominating_below(
 def gamma(g: Graph) -> SolverResult:
     """Exact domination number with the lex-least optimal witness."""
     check_solver_order(g.n)
-    mask = next(dominating_sets(g, 1))
+    mask = next(dominating_sets(g))
     return SolverResult(mask.bit_count(), mask)
 
 

@@ -112,7 +112,7 @@ def _report(
 
 def _solved_row(g: Graph) -> tuple[int | None, ...]:
     """gamma, gamma_m1 and gamma_m2 in each of ``_MODES`` (None where absent), from one scan."""
-    found = solve_jointly(g, gamma=True, m1=True, modes=_MODES)
+    found = solve_jointly(g, m1=True, modes=_MODES)
     return tuple(r.value for r in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)))
 
 
@@ -266,7 +266,7 @@ def verify_corollary_3_1(h_pool) -> ClaimReport:
     )
 
 
-def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int = 100, seed: int = 0) -> ClaimReport:
+def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int, seed: int) -> ClaimReport:
     """Dominating sets of a corona restrict to dominating sets of untouched copies.
 
     For each sampled dominating set T and each center a outside T, the
@@ -335,7 +335,7 @@ def _lemma_3_5_clause(
     return None
 
 
-def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int = 50, seed: int = 0) -> ClaimReport:
+def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int, seed: int) -> ClaimReport:
     """2-movable sets of a corona satisfy the per-copy move disjunction.
 
     The sets checked, in both replacement modes, are the solver's witness
@@ -356,7 +356,7 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int = 50, seed: int = 0
         "witnesses": 0,
         "certified_samples": 0,
     }
-    min_certified = None
+    certified_counts = []
     items = []
     draw_cap = max(64, 50 * samples_per_corona)
     for g, h in pairs:
@@ -366,27 +366,21 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int = 50, seed: int = 0
         streams = tee(islice(dominating_samples(product, seed), draw_cap), len(_MODES))
         solved = solve_jointly(product, modes=_MODES).m2
         for m, stream in zip(_MODES, streams):
-            to_check: list[VertexSet] = []
-            witness = solved[m].witness
-            if witness is not None:
-                to_check.append(witness)
-                tally["witnesses"] += 1
+            # the sets to check, once each: the witness, then certified samples
+            to_check = dict.fromkeys(w for w in (solved[m].witness,) if w is not None)
+            tally["witnesses"] += len(to_check)
             certified = 0
-            seen = set(to_check)
             for t in stream:
                 if certified >= samples_per_corona:
                     break
                 if is_2movable_dominating(product, t, m):
                     certified += 1
-                    if t not in seen:
-                        seen.add(t)
-                        to_check.append(t)
+                    to_check.setdefault(t)
             tally["certified_samples"] += certified
-            if samples_per_corona > 0:
-                min_certified = certified if min_certified is None else min(min_certified, certified)
+            certified_counts.append(certified)
             items += [(g, h, product, layout, m, t) for t in to_check]
-    if min_certified is not None:
-        tally["min_certified_per_corona"] = min_certified
+    if samples_per_corona > 0 and certified_counts:
+        tally["min_certified_per_corona"] = min(certified_counts)
 
     def check(item):
         g, h, product, layout, m, t = item
@@ -448,14 +442,13 @@ _POOLS = {
 }
 
 
-def default_pools(budget: BudgetConfig, names=None) -> dict:
-    """The curated default instance pools for run_all, order-capped by budget.
+def default_pools(budget: BudgetConfig, names) -> dict:
+    """The curated default instance pools named by ``names``, order-capped by budget.
 
-    ``names`` picks the pools to build; None builds all of them.  The
-    enumerated pool is the solved ``_class_rows``: one row per isomorphism
+    The enumerated pool is the solved ``_class_rows``: one row per isomorphism
     class of the labeled connected graphs, not the graphs themselves.
     """
-    return {name: build(budget) for name, build in _POOLS.items() if names is None or name in names}
+    return {name: build(budget) for name, build in _POOLS.items() if name in names}
 
 
 # Claims in canonical order: (runner, pools read, budget fields passed).

@@ -238,35 +238,35 @@ def is_2movable_dominating(
 
 
 class JointResult(NamedTuple):
-    """What one scan found: each requested invariant, None where not requested.
+    """What one scan found: gamma always, each requested movable invariant.
 
-    ``m2`` maps each requested replacement mode to its result.  A named
-    tuple rather than a frozen dataclass, which is slower both to define at
-    import and to build once per solver call.
+    ``m1`` is None when it was not requested, and ``m2`` maps each
+    requested replacement mode to its result.  A named tuple rather than a
+    frozen dataclass, which is slower both to define at import and to
+    build once per solver call.
     """
 
-    gamma: SolverResult | None
+    gamma: SolverResult
     m1: SolverResult | None
     m2: dict[ReplacementMode, SolverResult]
 
 
 def solve_jointly(
-    g: Graph, gamma: bool = False, m1: bool = False, modes: tuple[ReplacementMode, ...] = ()
+    g: Graph, m1: bool = False, modes: tuple[ReplacementMode, ...] = ()
 ) -> JointResult:
-    """gamma, gamma_m1 and gamma_m2 in the given modes, from one scan of dominating sets.
+    """gamma, and gamma_m1 and gamma_m2 in the given modes, from one scan of dominating sets.
 
-    The scan starts where ``dominating_sets`` starts when gamma or
-    gamma_m1 is asked for (gamma is then the first set scanned), and at
-    least at 2 otherwise.  Each movable invariant's witness is the first
-    set in scan order that passes its predicate.  When both modes are asked for,
-    DISTINCT is tested only from the LITERAL witness onwards (see the
-    module docstring).  A set holding a leaf and its one neighbour, or a
-    strong support (a vertex with two leaves), is not tested for
-    2-movability in any mode: it would fail.  When g has a strong support,
-    DISTINCT is reported absent without testing any set.  The scan stops
-    once every requested invariant has a witness, and reports absence for
-    any that has none after the whole vertex set.  A mode that is not a
-    ReplacementMode member raises ValueError.
+    gamma's witness is the first set scanned.  Each movable invariant's
+    witness is the first set in scan order that passes its predicate; a
+    set of one member is never tested for 2-movability.  When both modes
+    are asked for, DISTINCT is tested only from the LITERAL witness onwards
+    (see the module docstring).  A set holding a leaf and its one
+    neighbour, or a strong support (a vertex with two leaves), is not
+    tested for 2-movability in any mode: it would fail.  When g has a
+    strong support, DISTINCT is reported absent without testing any set.
+    The scan stops once every requested invariant has a witness, and
+    reports absence for any that has none after the whole vertex set.  A
+    mode that is not a ReplacementMode member raises ValueError.
     """
     check_solver_order(g.n)
     for mode in modes:
@@ -285,7 +285,7 @@ def solve_jointly(
         pending.remove(ReplacementMode.DISTINCT)
     # no set holding a leaf and its support, or a strong support, is 2-movable
     skip = strong.union(closed[l] for l in leaves)
-    for mask in dominating_sets(g, 1 if gamma or m1 else 2):
+    for mask in dominating_sets(g):
         if first is None:
             first = mask
         if m1 and m1_found is None:
@@ -301,7 +301,7 @@ def solve_jointly(
         if not pending and (m1_found or not m1):
             break
     return JointResult(
-        SolverResult(first.bit_count(), first) if gamma else None,
+        SolverResult(first.bit_count(), first),
         (m1_found or SolverResult(None, None)) if m1 else None,
         {mode: found.get(mode) or SolverResult(None, None) for mode in modes},
     )

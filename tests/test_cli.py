@@ -153,6 +153,15 @@ class TestCompute:
         assert code == 1
         assert "exactly 'u v'" in err
 
+    def test_non_ascii_input(self, capsys, tmp_path):
+        # a UnicodeDecodeError is a ValueError, so main reports it like any bad input
+        target = tmp_path / "latin1.edges"
+        target.write_bytes("# caf\u00e9\n2\n0 1\n".encode("latin-1"))
+        code, out, err = run_cli(["compute", "gamma", "--input", str(target)], capsys)
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestBuild:
     def test_corona_build_and_roundtrip(self, capsys, tmp_path):
@@ -237,6 +246,18 @@ class TestBuild:
         assert code == 1
         assert "error" in err
 
+    def test_missing_right_file(self, capsys, tmp_path):
+        out_file = tmp_path / "x.edges"
+        code, out, err = run_cli(
+            ["build", "join", "--left", "family:complete:2", "--right", str(tmp_path / "nope"),
+             "--output", str(out_file)],
+            capsys,
+        )
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "product, left, right, sidecar",
         [
@@ -278,6 +299,19 @@ class TestVerify:
         )
         assert code == 0
         assert "0 instances, vacuous" in out
+
+    def test_samples_sets_both_budgets(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--json", "--samples", "7", "--claim", "lemma-3.4", "--claim", "lemma-3.5"],
+            capsys,
+        )
+        assert code == 0
+        pools = [r["pool"] for r in json.loads(out)["reports"]]
+        assert pools == [
+            "12 coronas of connected factors, 7 samples each",
+            "12 coronas of connected factors, solver witness plus up to 7 certified samples each, "
+            "modes=both",
+        ]
 
     def test_all_claims_json_deterministic(self, capsys):
         argv = ["verify", "--seed", "7", "--max-order", "4", "--samples", "10", "--json"]

@@ -110,7 +110,7 @@ class TestGamma:
         "g, first", [(cycle(19), 7), (path(18), 6), (star(5), 1)], ids=["C19", "P18", "star5"]
     )
     def test_scan_starts_at_the_domination_bound(self, monkeypatch, g, first):
-        # ceil(n / (1 + max degree)): the first size dominating_sets(g, 1) tries
+        # ceil(n / (1 + max degree)): the first size dominating_sets tries
         below = movdom.domination._dominating_below
         sizes = []
 
@@ -120,7 +120,7 @@ class TestGamma:
             return below(closed, stuck, most, full, chosen, covered, top, left)
 
         monkeypatch.setattr(movdom.domination, "_dominating_below", spy)
-        witness = next(dominating_sets(g, 1))
+        witness = next(dominating_sets(g))
         assert sizes[0] == first == witness.bit_count() == gamma(g).value
 
 
@@ -128,16 +128,15 @@ class TestDominatingSets:
     @settings(max_examples=100)
     @given(graphs(max_n=9))
     def test_matches_filtered_subset_scan(self, g):
+        # every non-empty dominating set, by size and then by mask
         view = _view(g)
         every = [
             mask
-            for k in range(g.n + 1)
+            for k in range(1, g.n + 1)
             for mask in ascending_k_subsets(g.n, k)
             if naive.dominates(view, vertex_list(mask))
         ]
-        for smallest in range(g.n + 2):
-            expected = [mask for mask in every if mask.bit_count() >= smallest]
-            assert list(dominating_sets(g, smallest)) == expected
+        assert list(dominating_sets(g)) == every
 
 
 class TestSampler:

@@ -463,12 +463,12 @@ class TestRunAll:
         rows = movdom.harness.default_pools(budget, {"enumerated"})["enumerated"]
         assert len(rows) == 139
         for g, _, values in rows:
-            assert values == _row(solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)))
+            assert values == _row(solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)))
         weighted = Counter()
         for _, size, values in rows:
             weighted[values] += size
         direct = Counter(
-            _row(solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)))
+            _row(solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)))
             for n in (4, 5, 6)
             for g in enumerate_connected_graphs(n)
         )

@@ -258,7 +258,7 @@ class TestSolvers:
 
 def _loop_gamma_m1(g):
     """gamma_m1 as its own scan loop, kept from before the joint scan."""
-    for mask in dominating_sets(g, 1):
+    for mask in dominating_sets(g):
         cert = is_1movable_dominating(g, mask)
         if cert:
             return SolverResult(mask.bit_count(), mask, cert)
@@ -267,7 +267,7 @@ def _loop_gamma_m1(g):
 
 def _loop_gamma_m2(g, mode):
     """gamma_m2 as its own scan loop, kept from before the joint scan."""
-    for mask in dominating_sets(g, 2):
+    for mask in (s for s in dominating_sets(g) if s.bit_count() >= 2):
         cert = is_2movable_dominating(g, mask, mode)
         if cert:
             return SolverResult(mask.bit_count(), mask, cert)
@@ -276,14 +276,14 @@ def _loop_gamma_m2(g, mode):
 
 class TestJointScan:
     def _matches_loops_and_naive(self, g):
-        joint = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT))
+        joint = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT))
         loops = {LITERAL: _loop_gamma_m2(g, LITERAL), DISTINCT: _loop_gamma_m2(g, DISTINCT)}
         # value, witness and certificate, from the joint call and the one-invariant wrappers
         assert joint.gamma == gamma(g)
         assert joint.m1 == gamma_m1(g) == _loop_gamma_m1(g)
         assert joint.m2 == loops
         for mode in (LITERAL, DISTINCT):
-            alone = solve_jointly(g, gamma=True, modes=(mode,))
+            alone = solve_jointly(g, modes=(mode,))
             assert alone.gamma == joint.gamma and alone.m2 == {mode: loops[mode]}
             assert gamma_m2(g, mode) == loops[mode]
         view = _view(g)
@@ -309,9 +309,29 @@ class TestJointScan:
         self._matches_loops_and_naive(g)
 
     def test_only_requested_results(self):
-        assert solve_jointly(path(4)) == movdom.movable.JointResult(None, None, {})
+        # gamma always; gamma_m1 and each mode of gamma_m2 only when asked for
+        assert solve_jointly(path(4)) == movdom.movable.JointResult(gamma(path(4)), None, {})
         found = solve_jointly(path(4), modes=(DISTINCT,))
-        assert found.gamma is found.m1 is None and list(found.m2) == [DISTINCT]
+        assert found.gamma == gamma(path(4))
+        assert found.m1 is None and list(found.m2) == [DISTINCT]
+
+    @pytest.mark.parametrize(
+        "g",
+        [star(5), complete(4), join(complete(1), path(4))[0]],
+        ids=["star5", "K4", "K1+P4"],
+    )
+    def test_universal_vertex_singleton_never_tested(self, g):
+        # a universal vertex dominates alone; the m2 scan starts there, but
+        # hands no one-member set to the 2-movability predicate
+        found, checked = TestLeafRule._checked_sets(solve_jointly, g, modes=(LITERAL, DISTINCT))
+        assert gamma(g).value == 1
+        assert checked and all(s.bit_count() >= 2 for s in checked)
+        view = _view(g)
+        for mode in (LITERAL, DISTINCT):
+            assert found.m2[mode] == _loop_gamma_m2(g, mode)
+            value, witness = naive.naive_gamma_m2(view, mode is DISTINCT)
+            assert found.m2[mode].value == value
+            assert found.m2[mode].witness == (None if witness is None else mask_of(*witness))
 
     def test_distinct_tested_from_literal_witness_on(self, monkeypatch):
         checked = []
@@ -354,7 +374,7 @@ class TestLeafRule:
 
     def _no_set_with_leaf_pair_is_2movable(self, g):
         pairs, view = _leaf_pairs(g), _view(g)
-        for s in dominating_sets(g, 2):
+        for s in (d for d in dominating_sets(g) if d.bit_count() >= 2):
             if not _holds_leaf_pair(s, pairs):
                 continue
             for mode in (LITERAL, DISTINCT):
@@ -395,9 +415,7 @@ class TestLeafRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_leaves(9))
     def test_scan_skips_sets_with_leaf_pair(self, g):
-        _, checked = self._checked_sets(
-            solve_jointly, g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)
-        )
+        _, checked = self._checked_sets(solve_jointly, g, m1=True, modes=(LITERAL, DISTINCT))
         pairs = _leaf_pairs(g)
         assert not any(_holds_leaf_pair(s, pairs) for s in checked)
 
@@ -426,7 +444,7 @@ class TestStrongSupportRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_strong_support(9, connected=True))
     def test_matches_naive(self, g):
-        found = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)).m2
+        found = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)).m2
         view = _view(g)
         assert not found[DISTINCT].exists
         assert naive.naive_gamma_m2(view, True) == (None, None)
@@ -446,7 +464,7 @@ class TestStrongSupportRule:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(movdom.movable, "is_2movable_dominating", recording)
-            found = solve_jointly(g, gamma=True, m1=True, modes=(LITERAL, DISTINCT)).m2
+            found = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)).m2
         strong = _strong_supports(g)
         assert strong and not found[DISTINCT].exists
         assert not any(s & strong for s, _ in checked)
