@@ -161,8 +161,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     # a budget left off the command line keeps its BudgetConfig default
-    given = {"samples": args.samples, "movable_samples": args.samples, "seed": args.seed}
-    budget = BudgetConfig(args.max_order, **{k: v for k, v in given.items() if v is not None})
+    given = {"max_order": args.max_order, "samples": args.samples, "seed": args.seed}
+    given["movable_samples"] = args.samples
+    budget = BudgetConfig(**{k: v for k, v in given.items() if v is not None})
     reports = run_all(budget, args.claim)
 
     if args.json:
@@ -192,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_compute.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", help="family spec, e.g. path:4")
     source.add_argument("--input", help="edge-list file to read")
-    p_compute.add_argument("--mode", choices=["literal", "distinct"], default="literal")
+    p_compute.add_argument(
+        "--mode", choices=[m.value for m in ReplacementMode], default=ReplacementMode.LITERAL.value
+    )
     p_compute.add_argument("--json", action="store_true")
     p_compute.set_defaults(func=_cmd_compute)
 
@@ -214,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-order",
         type=int,
-        default=5,
+        default=None,
         dest="max_order",
-        help=f"largest graph order in the default pools, 0..{ENUMERATION_MAX_ORDER} (default 5)",
+        help=f"largest graph order in the default pools, 0..{ENUMERATION_MAX_ORDER} "
+        f"(default {BudgetConfig.max_order})",
     )
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
@@ -229,6 +233,8 @@ def main(argv=None) -> int:
     """Run one subcommand; a bad input, a failed read or write, or a bad value exits 1."""
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -216,7 +216,7 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """
     pairs = _enumerated_pairs(n)
     for edge_mask in range(1 << len(pairs)):
-        g = _graph_of(n, pairs, edge_mask)
+        g = from_edge_list(n, [pairs[i] for i in bits(edge_mask)])
         if is_connected(g):
             yield g
 
@@ -246,7 +246,7 @@ def enumerate_connected_classes(n: int) -> Iterator[tuple[Graph, int]]:
             orbit = {sum(map(image.__getitem__, members)) for image in images}
             for image_mask in orbit:
                 seen[image_mask] = 1
-            g = _graph_of(n, pairs, edge_mask)
+            g = from_edge_list(n, [pairs[i] for i in members])
             if is_connected(g):
                 yield g, len(orbit)
 
@@ -259,15 +259,6 @@ def _enumerated_pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _graph_of(n: int, pairs: list[tuple[int, int]], edge_mask: int) -> Graph:
-    adj = [0] * n
-    for i, (u, v) in enumerate(pairs):
-        if edge_mask >> i & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
 _REJECTION_LIMIT = 100
 
 
@@ -275,9 +266,10 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Sample a connected graph by repeated G(n, p) draws.
 
     Deterministic for a fixed (n, p, seed).  If no draw is connected
-    within a bounded number of rejections (certain for p = 0, n >= 2),
-    the final draw is made connected by adding a uniform spanning tree
-    decoded from a random Pruefer sequence.
+    within a bounded number of rejections (certain for p = 0, n >= 2;
+    a single vertex is connected on the first draw), the final draw is
+    made connected by adding a uniform spanning tree decoded from a
+    random Pruefer sequence, which for n = 2 is the one edge.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -295,11 +287,7 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
 
 
 def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    # Pruefer decode: uniform over labeled trees.
-    if n <= 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
+    # Pruefer decode: uniform over labeled trees on n >= 2 vertices.
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:

@@ -52,28 +52,32 @@ from .products import CoronaLayout, corona, join, slice_copy
 CORONA_ORDER_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClaimReport:
-    """Outcome of checking one claim over one pool."""
+    """Outcome of checking one claim over one pool.
+
+    A claim fails exactly when it has a counterexample, so ``passed`` and
+    ``status`` (``"pass"`` or ``"fail"``, also in the JSON) are read from it.
+    """
 
     claim: str
     pool: str
     instances: int
-    status: str
     counterexample: dict | None = None
     clause_tally: dict | None = None
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if (self.status == "fail") != (self.counterexample is not None):
-            raise ValueError("status must be 'fail' exactly when a counterexample is present")
-
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        fields = {"status": self.status, **asdict(self)}
+        return {k: v for k, v in fields.items() if v is not None}
 
 
 def _graph_payload(g: Graph) -> dict:
@@ -103,7 +107,6 @@ def _report(
         claim=claim,
         pool=pool,
         instances=len(items) if instances is None else instances,
-        status="fail" if counterexample else "pass",
         counterexample=counterexample,
         clause_tally=tally,
         seed=seed,

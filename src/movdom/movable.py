@@ -121,15 +121,13 @@ class Move(NamedTuple):
 class MovabilityCertificate:
     """One verified move per member (level 1) or per distinct pair (level 2).
 
+    Truthy (it has no ``__len__``), where a ``MovabilityFailure`` is falsy.
     In JSON a level-1 move names its ``vertex`` and replacement as ints, a
     level-2 move its ``pair`` and replacement as lists.
     """
 
     level: int
     moves: tuple[Move, ...]
-
-    def __bool__(self) -> bool:
-        return True
 
     def to_json_dict(self) -> dict:
         key, shape = ("vertex", itemgetter(0)) if self.level == 1 else ("pair", list)

@@ -91,12 +91,3 @@ def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> Graph:
     window = _interval_mask(start, stop)
     adj = tuple((product.adj[v] & window) >> start for v in range(start, stop))
     return Graph(stop - start, adj)
-
-
-__all__ = [
-    "JoinLayout",
-    "CoronaLayout",
-    "join",
-    "corona",
-    "slice_copy",
-]

@@ -343,6 +343,20 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
+        "order, digest",
+        [
+            ("5", "59ea0fe8cb94b2837587ad2b1a134a6ebbee2fc04176edf5cc53c4016d676a0b"),
+            ("6", "bb05e21cfaa5c9ebe7d97d913e8c206f92bd3cc603a86a4ba2ed4fa6efadecc9"),
+        ],
+        ids=["order-5", "order-6"],
+    )
+    def test_json_bytes_pinned_holdout_seed(self, order, digest, capsys):
+        # A second seed, so a change that only keeps seed 7's bytes shows here.
+        code, out, _ = run_cli(["verify", "--json", "--max-order", order, "--seed", "2026"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "budget",
         [["--max-order", "9"], ["--max-order", "-1"], ["--samples", "-5", "--claim", "theorem-3.3"]],
         ids=["max-order-above-enumeration", "max-order-negative", "samples-negative"],
@@ -385,3 +399,22 @@ class TestEntryPoints:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "compute gamma --family path:4",
+            "build join --left family:path:2 --right family:path:2 --output out.txt",
+        ],
+        ids=["compute", "build"],
+    )
+    def test_closed_stdout_is_an_error(self, command, tmp_path):
+        proc = subprocess.run(
+            ["sh", "-c", f'"{sys.executable}" -m movdom {command} >&-'],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: standard output is closed\n"
+        assert list(tmp_path.iterdir()) == []  # no command ran

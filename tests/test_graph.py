@@ -273,6 +273,10 @@ class TestRandomGraphs:
         assert is_connected(g)
         assert g.edge_count == 5
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_probability_order_2_is_one_edge(self, seed):
+        assert random_connected_graph(2, 0.0, seed) == path(2)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_always_connected(self, seed):
         assert is_connected(random_connected_graph(7, 0.3, seed))

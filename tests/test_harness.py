@@ -41,10 +41,17 @@ from movdom.graph import enumerate_connected_graphs
 
 class TestClaimReport:
     def test_status_counterexample_coupling(self):
-        with pytest.raises(ValueError, match="exactly when"):
+        passing = ClaimReport(claim="remark-3.1", pool="p", instances=1)
+        failing = ClaimReport(claim="remark-3.1", pool="p", instances=1, counterexample={"x": 1})
+        assert (passing.status, passing.passed) == ("pass", True)
+        assert (failing.status, failing.passed) == ("fail", False)
+        assert passing.to_json_dict() == {
+            "claim": "remark-3.1", "pool": "p", "instances": 1, "status": "pass",
+        }
+        assert failing.to_json_dict()["status"] == "fail"
+        # positional fields would let "fail" land in counterexample
+        with pytest.raises(TypeError):
             ClaimReport("remark-3.1", "p", 1, "fail")
-        with pytest.raises(ValueError, match="exactly when"):
-            ClaimReport("remark-3.1", "p", 1, "pass", counterexample={"x": 1})
 
     def test_json_fields(self):
         report = verify_lemma_3_5([complete(2)], [complete(1)], 5, seed=3)
