@@ -14,7 +14,7 @@ from itertools import islice
 from random import Random
 from typing import TYPE_CHECKING, Iterator
 
-from .graph import Graph, VertexSet, check_vertex_set, closed_neighborhood
+from .graph import Graph, VertexSet, check_vertex_set, closed_neighborhood, mask_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .movable import MovabilityCertificate
@@ -145,8 +145,6 @@ def greedy_repair(g: Graph, seed_set: VertexSet) -> VertexSet:
         best_v = -1
         best_gain = 0
         for v in range(g.n):
-            if chosen >> v & 1:
-                continue
             gain = (closed[v] & ~covered).bit_count()
             if gain > best_gain:
                 best_gain, best_v = gain, v
@@ -166,10 +164,7 @@ def dominating_samples(g: Graph, seed: int) -> Iterator[VertexSet]:
     rng = Random(seed)
     while True:
         size = rng.randrange(g.n + 1)
-        seed_set = 0
-        for v in rng.sample(range(g.n), size):
-            seed_set |= 1 << v
-        yield greedy_repair(g, seed_set)
+        yield greedy_repair(g, mask_of(*rng.sample(range(g.n), size)))
 
 
 def sample_dominating_sets(g: Graph, count: int, seed: int) -> list[VertexSet]:

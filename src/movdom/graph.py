@@ -11,7 +11,6 @@ is kept for the tests and the benchmark's tracer.
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
 from dataclasses import dataclass, field
@@ -196,14 +195,10 @@ def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
-    visited = 1
-    while True:
-        grown = visited
-        for v in bits(visited):
-            grown |= g.adj[v]
-        if grown == visited:
-            return visited == g.full_mask
-        visited = grown
+    reached = 1
+    while (grown := closed_neighborhood(g, reached)) != reached:
+        reached = grown
+    return reached == g.full_mask
 
 
 # No caller in the package: kept because the tests and bench/tracer.py read it.
@@ -268,8 +263,8 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     Deterministic for a fixed (n, p, seed).  If no draw is connected
     within a bounded number of rejections (certain for p = 0, n >= 2;
     a single vertex is connected on the first draw), the final draw is
-    made connected by adding a uniform spanning tree decoded from a
-    random Pruefer sequence, which for n = 2 is the one edge.
+    made connected by adding a uniform spanning tree, taken from a random
+    walk on the complete graph, which for n = 2 is the one edge.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -287,23 +282,16 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
 
 
 def _uniform_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    # Pruefer decode: uniform over labeled trees on n >= 2 vertices.
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    # Aldous-Broder on K_n: the first-entry edges of a random walk form a uniform tree.
     edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    last = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append(last)
+    v, seen = 0, 1
+    while len(edges) < n - 1:
+        u = rng.randrange(n - 1)
+        u += u >= v
+        if not seen >> u & 1:
+            seen |= 1 << u
+            edges.append((v, u))
+        v = u
     return edges
 
 

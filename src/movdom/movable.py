@@ -151,8 +151,12 @@ class MovabilityFailure:
         return False
 
 
-def _coverage(closed: tuple[VertexSet, ...], s: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
-    """The vertices s covers >= 1, == 1 and == 2 times, from the graph's ``closed`` table."""
+def _coverage(g: Graph, s: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
+    """The vertices s covers >= 1, == 1 and == 2 times; ValueError if s is out of range or empty."""
+    check_vertex_set(g, s)
+    if s == 0:
+        raise ValueError("the empty set cannot be checked for movability")
+    closed = g.closed
     covered = once = twice = 0
     for v in bits(s):
         nv = closed[v]
@@ -168,11 +172,8 @@ def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | Mo
     A member v is movable if s minus v still dominates, or some outside
     neighbor u of v restores domination when substituted.
     """
-    check_vertex_set(g, s)
-    if s == 0:
-        raise ValueError("the empty set cannot be checked for movability")
+    covered, once, _ = _coverage(g, s)
     closed = g.closed
-    covered, once, _ = _coverage(closed, s)
     if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     moves = []
@@ -202,11 +203,8 @@ def is_2movable_dominating(
     ReplacementMode member raises ValueError.
     """
     _check_mode(mode)
-    check_vertex_set(g, s)
-    if s == 0:
-        raise ValueError("the empty set cannot be checked for movability")
+    covered, once, twice = _coverage(g, s)
     closed = g.closed
-    covered, once, twice = _coverage(closed, s)
     if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     if s.bit_count() < 2:

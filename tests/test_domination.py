@@ -28,6 +28,21 @@ def _view(g):
     return naive.AdjacencyView(g.n, g.edges())
 
 
+def _plain_greedy(g, s):
+    """greedy_repair over plain sets: add the lowest vertex covering the most uncovered."""
+    closed = [{v} for v in range(g.n)]
+    for u, v in g.edges():
+        closed[u].add(v)
+        closed[v].add(u)
+    chosen = set(vertex_list(s))
+    covered = set().union(*(closed[v] for v in chosen))
+    while len(covered) < g.n:
+        best = max(range(g.n), key=lambda v: len(closed[v] - covered))
+        chosen.add(best)
+        covered |= closed[best]
+    return chosen
+
+
 class TestIsDominating:
     def test_p4_middle_pair(self):
         assert is_dominating(path(4), mask_of(1, 2))
@@ -105,6 +120,13 @@ class TestGamma:
     @given(graphs())
     def test_greedy_never_beats_exact(self, g):
         assert gamma(g).value <= greedy_repair(g, 0).bit_count()
+
+    @given(graphs_with_subset())
+    def test_greedy_repair_pick_rule(self, case):
+        g, s = case
+        repaired = greedy_repair(g, s)
+        assert repaired & s == s
+        assert set(vertex_list(repaired)) == _plain_greedy(g, s)
 
     @pytest.mark.parametrize(
         "g, first", [(cycle(19), 7), (path(18), 6), (star(5), 1)], ids=["C19", "P18", "star5"]

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
+from movdom import graph
 from movdom import (
     Graph,
     bits,
@@ -276,6 +279,21 @@ class TestRandomGraphs:
     @pytest.mark.parametrize("seed", range(3))
     def test_zero_probability_order_2_is_one_edge(self, seed):
         assert random_connected_graph(2, 0.0, seed) == path(2)
+
+    def test_fallback_tree_is_uniform(self):
+        # Cayley: 4^2 = 16 labeled trees on 4 vertices, each expected 1,000 times in 16,000
+        rng = random.Random(0)
+        counts = Counter(
+            frozenset(map(frozenset, graph._uniform_spanning_tree(4, rng))) for _ in range(16_000)
+        )
+        assert len(counts) == 16
+        assert all(850 <= c <= 1_150 for c in counts.values()), counts
+        for n in range(2, 10):
+            for _ in range(50):
+                edges = graph._uniform_spanning_tree(n, rng)
+                g = from_edge_list(n, edges)
+                assert len(edges) == g.edge_count == n - 1
+                assert is_connected(g)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_always_connected(self, seed):

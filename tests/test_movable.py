@@ -117,6 +117,11 @@ class TestOneMovable:
         with pytest.raises(ValueError, match="empty set"):
             is_1movable_dominating(path(3), 0)
 
+    def test_out_of_range_rejected(self):
+        g = path(3)
+        with pytest.raises(ValueError, match="out of range"):
+            is_1movable_dominating(g, 1 << g.n)
+
 
 class TestTwoMovable:
     def test_p4_distinct_swap(self):
@@ -150,6 +155,11 @@ class TestTwoMovable:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty set"):
             is_2movable_dominating(path(3), 0, LITERAL)
+
+    def test_out_of_range_rejected(self):
+        g = path(3)
+        with pytest.raises(ValueError, match="out of range"):
+            is_2movable_dominating(g, 1 << g.n, LITERAL)
 
     def test_drop_preferred_over_swap(self):
         g = complete(4)
