@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
-from .domination import SolverResult, check_solver_order, gamma
+from .domination import check_solver_order, gamma
 from .graph import (
     ENUMERATION_MAX_ORDER,
     Graph,
@@ -34,7 +34,7 @@ from .graph import (
     vertex_list,
 )
 from .harness import CLAIM_IDS, BudgetConfig, run_all
-from .movable import ReplacementMode, gamma_m1, gamma_m2
+from .movable import MovabilityCertificate, ReplacementMode, gamma_m1, gamma_m2
 from .products import corona, join
 
 SCHEMA = "movdom/1"
@@ -104,19 +104,17 @@ def _cmd_compute(args) -> int:
     if args.json:
         _json_out(payload)
     else:
-        _print_human_result(args.which, mode, result)
+        _print_human_result(payload, result.certificate)
     return EXIT_OK if result.exists else EXIT_NOT_EXISTS
 
 
-def _print_human_result(which: str, mode: ReplacementMode, result: SolverResult) -> None:
-    header = which if which != "gamma-m2" else f"{which} mode={mode.value}"
-    print(header)
-    if not result.exists:
-        print("value: none")
+def _print_human_result(payload: dict, cert: MovabilityCertificate | None) -> None:
+    header = payload["invariant"]
+    print(f"{header} mode={payload['mode']}" if "mode" in payload else header)
+    print(f"value: {payload['value']}")
+    if payload["witness"] is None:
         return
-    print(f"value: {result.value}")
-    print("witness:", " ".join(str(v) for v in vertex_list(result.witness)))
-    cert = result.certificate
+    print("witness:", *payload["witness"])
     if cert is not None:
         print("certificate:")
         kind = "vertex" if cert.level == 1 else "pair"

@@ -14,7 +14,7 @@ from itertools import islice
 from random import Random
 from typing import TYPE_CHECKING, Iterator
 
-from .graph import Graph, VertexSet, check_vertex_set, closed_neighborhood, mask_of
+from .graph import Graph, VertexSet, closed_neighborhood, mask_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .movable import MovabilityCertificate
@@ -137,7 +137,6 @@ def gamma(g: Graph) -> SolverResult:
 
 def greedy_repair(g: Graph, seed_set: VertexSet) -> VertexSet:
     """Grow a set until it dominates, adding best-coverage vertices first."""
-    check_vertex_set(g, seed_set)
     chosen = seed_set
     covered = closed_neighborhood(g, seed_set)
     full, closed = g.full_mask, g.closed

@@ -104,15 +104,13 @@ def check_vertex_set(g: Graph, s: VertexSet) -> None:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and edge pairs.
 
-    Duplicate edges (in either orientation) collapse; self-loops and
-    out-of-range endpoints are rejected.
+    Duplicate edges (in either orientation) collapse; out-of-range
+    endpoints are rejected here and self-loops by ``Graph``.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     adj = [0] * n
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
         for w in (u, v):
             if not 0 <= w < n:
                 raise ValueError(f"endpoint {w} out of range for order {n}")
@@ -266,8 +264,6 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     made connected by adding a uniform spanning tree, taken from a random
     walk on the complete graph, which for n = 2 is the one edge.
     """
-    if n < 1:
-        raise ValueError("vertex count must be at least 1")
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

@@ -369,19 +369,14 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int, seed: int) -> Clai
         streams = tee(islice(dominating_samples(product, seed), draw_cap), len(_MODES))
         solved = solve_jointly(product, modes=_MODES).m2
         for m, stream in zip(_MODES, streams):
+            witness = [solved[m].witness] if solved[m].exists else []
+            hits = (t for t in stream if is_2movable_dominating(product, t, m))
+            certified = list(islice(hits, samples_per_corona))
+            tally["witnesses"] += len(witness)
+            tally["certified_samples"] += len(certified)
+            certified_counts.append(len(certified))
             # the sets to check, once each: the witness, then certified samples
-            to_check = dict.fromkeys(w for w in (solved[m].witness,) if w is not None)
-            tally["witnesses"] += len(to_check)
-            certified = 0
-            for t in stream:
-                if certified >= samples_per_corona:
-                    break
-                if is_2movable_dominating(product, t, m):
-                    certified += 1
-                    to_check.setdefault(t)
-            tally["certified_samples"] += certified
-            certified_counts.append(certified)
-            items += [(g, h, product, layout, m, t) for t in to_check]
+            items += [(g, h, product, layout, m, t) for t in dict.fromkeys(witness + certified)]
     if samples_per_corona > 0 and certified_counts:
         tally["min_certified_per_corona"] = min(certified_counts)
 

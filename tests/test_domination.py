@@ -121,6 +121,10 @@ class TestGamma:
     def test_greedy_never_beats_exact(self, g):
         assert gamma(g).value <= greedy_repair(g, 0).bit_count()
 
+    def test_greedy_repair_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            greedy_repair(path(3), 1 << 3)
+
     @given(graphs_with_subset())
     def test_greedy_repair_pick_rule(self, case):
         g, s = case

@@ -45,6 +45,8 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             from_edge_list(2, [(0, 0)])
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            from_edge_list(3, [(0, 1), (2, 2)])
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -302,6 +304,10 @@ class TestRandomGraphs:
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError, match="probability"):
             random_connected_graph(3, 1.5, 0)
+
+    def test_zero_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            random_connected_graph(0, 0.5, 0)
 
 
 class TestEdgeListFormat:

@@ -185,13 +185,19 @@ class TestLemma35:
                 [i for i, t in enumerate(stream) if is_2movable_dominating(product, t, m)][k - 1]
                 for m in ReplacementMode
             ]
-            # the reader that stops last pulls one draw past its k-th hit
-            assert count == max(kth) + 2 < draw_cap
+            # the reader that stops last stops at its k-th hit
+            assert count == max(kth) + 1 < draw_cap
 
     def test_clause_tally_totals_match_checks(self):
         report = verify_lemma_3_5([path(3)], [complete(2)], samples_per_corona=20, seed=4)
         tally = report.clause_tally
         assert tally["clause_i"] + tally["clause_ii"] + tally["clause_iii"] > 0
+
+
+@pytest.mark.parametrize("verify", [verify_lemma_3_4, verify_lemma_3_5])
+def test_corona_lemmas_reject_negative_budget(verify):
+    with pytest.raises(ValueError):
+        verify([path(3)], [complete(2)], -5, 0)
 
 
 def _graph(g):
