@@ -35,7 +35,9 @@ def mask_of(*vertices: int) -> VertexSet:
 
 
 def bits(mask: VertexSet) -> Iterator[int]:
-    """Iterate the set bits of a mask in ascending index order."""
+    """Iterate the set bits of a mask in ascending index order; ValueError if it is negative."""
+    if mask < 0:
+        raise ValueError(f"vertex set {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

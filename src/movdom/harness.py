@@ -269,14 +269,20 @@ def verify_corollary_3_1(h_pool) -> ClaimReport:
     )
 
 
+def _check_samples_per_corona(samples_per_corona: int) -> None:
+    if samples_per_corona < 0:
+        raise ValueError(f"samples_per_corona must be nonnegative, got {samples_per_corona}")
+
+
 def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int, seed: int) -> ClaimReport:
     """Dominating sets of a corona restrict to dominating sets of untouched copies.
 
     For each sampled dominating set T and each center a outside T, the
     part of T inside a's copy must dominate that copy (as a standalone
     graph via slice_copy).  Centers inside T are skipped, per the claim's
-    precondition, and tallied.
+    precondition, and tallied.  A negative budget raises ValueError.
     """
+    _check_samples_per_corona(samples_per_corona)
     pairs = _admissible_corona_pairs(g_pool, h_pool, order_cap=10**9)
     items = []
     for g, h in pairs:
@@ -348,8 +354,9 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int, seed: int) -> Clai
     copy, or it does after adding outside-slice-set neighbors of both a
     and u, or of u alone.  The tally records which clause fired first,
     vacuous centers, and the smallest certified-sample count any corona
-    achieved.
+    achieved.  A negative budget raises ValueError.
     """
+    _check_samples_per_corona(samples_per_corona)
     pairs = _admissible_corona_pairs(g_pool, h_pool, SOLVER_MAX_ORDER)
     tally = {
         "clause_i": 0,

@@ -61,6 +61,14 @@ every value, least witness and certificate stays the same; gamma and
 gamma_m1 still see every set.  On all 27,470 labeled connected graphs of
 order 4-6 a LITERAL witness exists, and the 1,875 with no DISTINCT
 witness are exactly the 1,875 with a strong support.
+
+Whether a pair {x, y} moves depends only on S within N[N[x] | N[y]], so
+the pair that blocked one set often blocks the next (the "last conflict"
+heuristic of Lecoutre, Sais, Tabary and Vidal, *Artificial Intelligence*
+173, 2009).  The scan first tests a set on the blocking pairs of its last
+four failed tests, and rejects it if one of them is immovable: it would
+fail the full test anyway.  Every other set gets the full canonical test,
+so every witness and certificate stays the same.
 """
 
 from __future__ import annotations
@@ -85,6 +93,8 @@ class ReplacementMode(Enum):
 # Both modes in definition order.  The joint scan relies on LITERAL coming
 # first: DISTINCT is tested only from the LITERAL witness onwards.
 _MODES = tuple(ReplacementMode)
+
+_RECENT_PAIRS = 4  # how many blocking pairs the joint scan remembers (module docstring)
 
 
 def _check_mode(mode: ReplacementMode) -> None:
@@ -204,14 +214,21 @@ def is_2movable_dominating(
     """
     _check_mode(mode)
     covered, once, twice = _coverage(g, s)
-    closed = g.closed
     if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
     if s.bit_count() < 2:
         return MovabilityFailure("singleton")
-    distinct = mode is ReplacementMode.DISTINCT
+    pairs = combinations(vertex_list(s), 2)
+    return _pair_moves(g, s, once, twice, mode is ReplacementMode.DISTINCT, pairs)
+
+
+def _pair_moves(
+    g: Graph, s: VertexSet, once: VertexSet, twice: VertexSet, distinct: bool, pairs
+) -> MovabilityCertificate | MovabilityFailure:
+    """Canonical moves for ``pairs`` of the dominating set s, whose coverage is once and twice."""
+    closed = g.closed
     moves = []
-    for x, y in combinations(vertex_list(s), 2):
+    for x, y in pairs:
         nx, ny = closed[x], closed[y]
         lost = once & (nx | ny) | twice & nx & ny
         if not lost:
@@ -231,6 +248,21 @@ def is_2movable_dominating(
         else:
             return MovabilityFailure("immovable-pair", (x, y))
     return MovabilityCertificate(2, tuple(moves))
+
+
+def _scan_test(
+    g: Graph, s: VertexSet, once: VertexSet, twice: VertexSet, mode: ReplacementMode, recent: list
+) -> MovabilityCertificate | MovabilityFailure | None:
+    """The full test of s, or None if a ``recent`` pair in s is immovable; new ones go in front."""
+    distinct = mode is ReplacementMode.DISTINCT
+    held = [(x, y) for x, y in recent if s >> x & 1 and s >> y & 1]
+    if held and not _pair_moves(g, s, once, twice, distinct, held):
+        return None
+    cert = _pair_moves(g, s, once, twice, distinct, combinations(vertex_list(s), 2))
+    if not cert:
+        recent.insert(0, cert.detail)
+        del recent[_RECENT_PAIRS:]
+    return cert
 
 
 class JointResult(NamedTuple):
@@ -260,6 +292,7 @@ def solve_jointly(
     neighbour, or a strong support (a vertex with two leaves), is not
     tested for 2-movability in any mode: it would fail.  When g has a
     strong support, DISTINCT is reported absent without testing any set.
+    A set is tested first on the pairs that blocked the last failed tests.
     The scan stops once every requested invariant has a witness, and
     reports absence for any that has none after the whole vertex set.  A
     mode that is not a ReplacementMode member raises ValueError.
@@ -281,6 +314,7 @@ def solve_jointly(
         pending.remove(ReplacementMode.DISTINCT)
     # no set holding a leaf and its support, or a strong support, is 2-movable
     skip = strong.union(closed[l] for l in leaves)
+    recent = []  # the blocking pairs of the last failed full tests, newest first
     for mask in dominating_sets(g):
         if first is None:
             first = mask
@@ -289,8 +323,9 @@ def solve_jointly(
             if cert:
                 m1_found = SolverResult(mask.bit_count(), mask, cert)
         if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in skip):
+            _, once, twice = _coverage(g, mask)
             while pending:
-                cert = is_2movable_dominating(g, mask, pending[0])
+                cert = _scan_test(g, mask, once, twice, pending[0], recent)
                 if not cert:
                     break
                 found[pending.pop(0)] = SolverResult(mask.bit_count(), mask, cert)
@@ -311,15 +346,9 @@ def gamma_m1(g: Graph) -> SolverResult:
 def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> SolverResult:
     """Exact 2-movable domination number under the given replacement mode.
 
-    Checks every dominating set with at least two members, smallest
-    first, up to the whole vertex set, except those that hold a leaf and
-    its support, or a strong support (module docstring): 2-movability is
-    not closed under supersets, so no cardinality can be skipped once one
-    fails.  Returns absence when none qualifies.  In DISTINCT mode a graph
-    with a strong support is reported absent without checking any set.
-    ``solve_jointly`` gives both modes from one scan, with the same
-    witnesses: the DISTINCT witness never comes before the LITERAL one,
-    since a DISTINCT certificate is a LITERAL one.
+    The first set of ``solve_jointly``'s scan that is 2-movable in this
+    mode, or absence when none is: 2-movability is not closed under
+    supersets, so the scan runs up to the whole vertex set.
     """
     return solve_jointly(g, modes=(mode,)).m2[mode]
 

@@ -356,6 +356,15 @@ class TestMaskHelpers:
         with pytest.raises(ValueError, match="nonnegative"):
             mask_of(-1)
 
+    def test_negative_mask_rejected(self):
+        # the first draw already raises, so a loop that never ends cannot start
+        with pytest.raises(ValueError, match="negative"):
+            next(bits(-5))
+        with pytest.raises(ValueError, match="negative"):
+            vertex_list(-1)
+        with pytest.raises(ValueError, match="negative"):
+            list(bits(-5))
+
     @given(st.integers(0, (1 << 12) - 1))
     def test_bits_round_trip(self, mask):
         assert mask_of(*bits(mask)) == mask

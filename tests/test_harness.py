@@ -196,7 +196,7 @@ class TestLemma35:
 
 @pytest.mark.parametrize("verify", [verify_lemma_3_4, verify_lemma_3_5])
 def test_corona_lemmas_reject_negative_budget(verify):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^samples_per_corona must be nonnegative, got -5$"):
         verify([path(3)], [complete(2)], -5, 0)
 
 

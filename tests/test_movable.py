@@ -284,6 +284,38 @@ def _loop_gamma_m2(g, mode):
     return SolverResult(None, None)
 
 
+def _scan_tests(solver, g, *args, **kwargs):
+    """What ``solver(g, ...)`` returns, and each (set, mode, outcome) of the scan's per-set test.
+
+    The outcome is None when a recent blocking pair rejected the set
+    without the full pair test.
+    """
+    tests = []
+    per_set = movdom.movable._scan_test
+
+    def recording(g, s, once, twice, mode, recent):
+        outcome = per_set(g, s, once, twice, mode, recent)
+        tests.append((s, mode, outcome))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(movdom.movable, "_scan_test", recording)
+        return solver(g, *args, **kwargs), tests
+
+
+@st.composite
+def _sparse_graphs(draw):
+    """Cycles, paths and sparse random connected graphs of order 8-14, where most sets fail."""
+    n = draw(st.integers(8, 14))
+    family = draw(st.sampled_from(["cycle", "path", "random"]))
+    if family == "cycle":
+        return cycle(n)
+    if family == "path":
+        return path(n)
+    p = draw(st.sampled_from([0.1, 0.15, 0.2]))
+    return random_connected_graph(n, p, draw(st.integers(0, 999)))
+
+
 class TestJointScan:
     def _matches_loops_and_naive(self, g):
         joint = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT))
@@ -318,6 +350,12 @@ class TestJointScan:
     def test_matches_loops_and_naive_with_leaves(self, g):
         self._matches_loops_and_naive(g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_sparse_graphs())
+    def test_matches_loops_and_naive_where_most_sets_fail(self, g):
+        # most sets here are rejected by a recent blocking pair, without the full test
+        self._matches_loops_and_naive(g)
+
     def test_only_requested_results(self):
         # gamma always; gamma_m1 and each mode of gamma_m2 only when asked for
         assert solve_jointly(path(4)) == movdom.movable.JointResult(gamma(path(4)), None, {})
@@ -343,18 +381,11 @@ class TestJointScan:
             assert found.m2[mode].value == value
             assert found.m2[mode].witness == (None if witness is None else mask_of(*witness))
 
-    def test_distinct_tested_from_literal_witness_on(self, monkeypatch):
-        checked = []
-        predicate = movdom.movable.is_2movable_dominating
-
-        def recording(g, s, mode):
-            checked.append((s, mode))
-            return predicate(g, s, mode)
-
-        monkeypatch.setattr(movdom.movable, "is_2movable_dominating", recording)
+    def test_distinct_tested_from_literal_witness_on(self):
         for g in enumerate_connected_graphs(5):
-            checked.clear()
-            found = solve_jointly(g, modes=(DISTINCT, LITERAL)).m2
+            joint, tests = _scan_tests(solve_jointly, g, modes=(DISTINCT, LITERAL))
+            found = joint.m2
+            checked = [(s, mode) for s, mode, _ in tests]
             literal = [s for s, m in checked if m is LITERAL]
             distinct = [s for s, m in checked if m is DISTINCT]
             # LITERAL up to its witness, DISTINCT from there to its own witness or the end
@@ -366,6 +397,36 @@ class TestJointScan:
             assert distinct[0] == found[LITERAL].witness
             assert distinct[-1] == found[DISTINCT].witness or not found[DISTINCT].exists
             assert checked.index((distinct[0], DISTINCT)) == len(literal)
+
+
+class TestRecentBlockingPairs:
+    """The scan rejects a set by its recent blocking pairs before the full pair test."""
+
+    def test_recent_pairs_tested_in_the_mode_asked_for(self):
+        # on star(5), {1, 2} moves only to (0, 0): LITERAL gets the full test, DISTINCT does not
+        g, s = star(5), mask_of(1, 2, 3, 4)
+        _, once, twice = movdom.movable._coverage(g, s)
+        recent = [(1, 2)]
+        cert = movdom.movable._scan_test(g, s, once, twice, LITERAL, recent)
+        assert cert == is_2movable_dominating(g, s, LITERAL)
+        assert movdom.movable._scan_test(g, s, once, twice, DISTINCT, recent) is None
+        assert recent == [(1, 2)]
+
+    def test_new_blocking_pair_goes_in_front(self):
+        # no remembered pair lies in s, so the full test runs and the oldest pair is forgotten
+        g, s = star(5), mask_of(1, 2, 3, 4)
+        _, once, twice = movdom.movable._coverage(g, s)
+        recent = [(0, 1), (0, 2), (0, 3), (0, 4)]
+        failure = movdom.movable._scan_test(g, s, once, twice, DISTINCT, recent)
+        assert failure == is_2movable_dominating(g, s, DISTINCT)
+        assert recent == [(1, 2), (0, 1), (0, 2), (0, 3)]
+
+    @pytest.mark.parametrize("g, full", [(cycle(19), 374), (path(18), 56)], ids=["C19", "P18"])
+    def test_full_test_count(self, g, full):
+        # the scan tests 1,771 sets of C19 and 436 of P18 before the LITERAL witness
+        found, tests = _scan_tests(gamma_m2, g, LITERAL)
+        assert found == _loop_gamma_m2(g, LITERAL)
+        assert sum(outcome is not None for _, _, outcome in tests) == full
 
 
 def _leaf_pairs(g):
@@ -410,17 +471,9 @@ class TestLeafRule:
 
     @staticmethod
     def _checked_sets(solver, g, *args, **kwargs):
-        """What ``solver(g, ...)`` returns, and the sets it hands to is_2movable_dominating."""
-        checked = []
-        predicate = movdom.movable.is_2movable_dominating
-
-        def recording(g, s, mode):
-            checked.append(s)
-            return predicate(g, s, mode)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(movdom.movable, "is_2movable_dominating", recording)
-            return solver(g, *args, **kwargs), checked
+        """What ``solver(g, ...)`` returns, and the sets its scan tests for 2-movability."""
+        found, tests = _scan_tests(solver, g, *args, **kwargs)
+        return found, [s for s, _, _ in tests]
 
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_leaves(9))
@@ -465,16 +518,9 @@ class TestStrongSupportRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_strong_support(9))
     def test_scan_never_tests_a_strong_support(self, g):
-        checked = []
-        predicate = movdom.movable.is_2movable_dominating
-
-        def recording(g, s, mode):
-            checked.append((s, mode))
-            return predicate(g, s, mode)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(movdom.movable, "is_2movable_dominating", recording)
-            found = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)).m2
+        joint, tests = _scan_tests(solve_jointly, g, m1=True, modes=(LITERAL, DISTINCT))
+        found = joint.m2
+        checked = [(s, mode) for s, mode, _ in tests]
         strong = _strong_supports(g)
         assert strong and not found[DISTINCT].exists
         assert not any(s & strong for s, _ in checked)
