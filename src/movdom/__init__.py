@@ -13,7 +13,6 @@ from .domination import (
     dominating_sets,
     gamma,
     is_dominating,
-    sample_dominating_sets,
 )
 from .graph import (
     ENUMERATION_MAX_ORDER,
@@ -68,7 +67,6 @@ from .products import (
     JoinLayout,
     corona,
     join,
-    slice_copy,
 )
 
 __version__ = "0.1.0"

@@ -228,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad input, a failed read or write, or a bad value exits 1."""
+    """Run one subcommand; a bad input, a failed read or write, a bad value or no memory exits 1."""
     args = build_parser().parse_args(argv)
     try:
         if sys.stdout is None:
             raise OSError("standard output is closed")
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

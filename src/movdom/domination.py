@@ -166,6 +166,7 @@ def dominating_samples(g: Graph, seed: int) -> Iterator[VertexSet]:
         yield greedy_repair(g, mask_of(*rng.sample(range(g.n), size)))
 
 
+# No caller in the package: kept because the tests and bench/ read it.
 def sample_dominating_sets(g: Graph, count: int, seed: int) -> list[VertexSet]:
     """The first ``count`` sets of ``dominating_samples(g, seed)``.
 

@@ -26,13 +26,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice, tee
 
-from .domination import (
-    SOLVER_MAX_ORDER,
-    dominating_samples,
-    gamma,
-    is_dominating,
-    sample_dominating_sets,
-)
+from .domination import SOLVER_MAX_ORDER, dominating_samples, gamma
 from .graph import (
     ENUMERATION_MAX_ORDER,
     Graph,
@@ -47,7 +41,7 @@ from .graph import (
     vertex_list,
 )
 from .movable import _MODES, is_2movable_dominating, solve_jointly
-from .products import CoronaLayout, corona, join, slice_copy
+from .products import CoronaLayout, corona, join
 
 CORONA_ORDER_CAP = 16
 
@@ -274,39 +268,48 @@ def _check_samples_per_corona(samples_per_corona: int) -> None:
         raise ValueError(f"samples_per_corona must be nonnegative, got {samples_per_corona}")
 
 
+def _dominates_copy(product: Graph, copy_mask: VertexSet, members: VertexSet) -> bool:
+    """True iff ``members``, inside a corona slice, dominate its copy ``copy_mask``.
+
+    The product's closed neighborhoods give the slice's own answer: every
+    neighbor of a copy vertex lies in its center-plus-copy slice, so no
+    vertex outside the slice can cover the copy.
+    """
+    return copy_mask & ~closed_neighborhood(product, members) == 0
+
+
 def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int, seed: int) -> ClaimReport:
     """Dominating sets of a corona restrict to dominating sets of untouched copies.
 
     For each sampled dominating set T and each center a outside T, the
-    part of T inside a's copy must dominate that copy (as a standalone
-    graph via slice_copy).  Centers inside T are skipped, per the claim's
-    precondition, and tallied.  A negative budget raises ValueError.
+    part of T inside a's copy must dominate that copy, checked inside the
+    product.  Centers inside T are skipped, per the claim's precondition,
+    and tallied.  A negative budget raises ValueError.
     """
     _check_samples_per_corona(samples_per_corona)
     pairs = _admissible_corona_pairs(g_pool, h_pool, order_cap=10**9)
     items = []
     for g, h in pairs:
         product, layout = corona(g, h)
-        slices = [slice_copy(layout, a, product) for a in range(len(layout.centers))]
-        samples = sample_dominating_sets(product, samples_per_corona, seed)
-        items += [(g, h, layout, slices, t) for t in samples]
+        samples = islice(dominating_samples(product, seed), samples_per_corona)
+        items += [(g, h, product, layout, t) for t in samples]
     tally = {"centers_checked": 0, "centers_skipped_in_T": 0}
 
     def check(item):
-        g, h, layout, slices, t = item
-        for a, copy_graph in enumerate(slices):
-            if t >> layout.centers[a] & 1:
+        g, h, product, layout, t = item
+        for a, center in enumerate(layout.centers):
+            if t >> center & 1:
                 tally["centers_skipped_in_T"] += 1
                 continue
             tally["centers_checked"] += 1
-            s_a = (t & layout.copy_mask(a)) >> layout.copies[a][0]
-            if not is_dominating(copy_graph, s_a):
+            copy_mask = layout.copy_mask(a)
+            if not _dominates_copy(product, copy_mask, t & copy_mask):
                 yield {
                     "g": _graph_payload(g),
                     "h": _graph_payload(h),
                     "T": vertex_list(t),
                     "center": a,
-                    "copy_set": vertex_list(s_a),
+                    "copy_set": vertex_list((t & copy_mask) >> layout.copies[a][0]),
                     "expected": "dominating",
                     "got": "not-dominating",
                 }
@@ -318,28 +321,21 @@ def verify_lemma_3_4(g_pool, h_pool, samples_per_corona: int, seed: int) -> Clai
 def _lemma_3_5_clause(
     product: Graph, layout: CoronaLayout, a: int, t_a: VertexSet, u: int
 ) -> str | None:
-    """Which of the three per-member clauses holds, or None.
-
-    All sets live in the center-plus-copy slice; domination means the
-    copy's vertices are covered within that slice.  The product's
-    ``closed_neighborhood`` gives the same answer as one clipped to the
-    slice: every member lies in the slice, and every neighbor of a copy
-    vertex does too, so no vertex outside it can cover the copy.
-    """
+    """Which of the three per-member clauses holds, or None; all sets lie in a's slice."""
     center = layout.centers[a]
     copy_mask = layout.copy_mask(a)
     unit = layout.unit_mask(a)
     base = t_a & ~(1 << center | 1 << u)
-    if copy_mask & ~closed_neighborhood(product, base) == 0:
+    if _dominates_copy(product, copy_mask, base):
         return "i"
     center_swaps = product.adj[center] & copy_mask & ~t_a
     member_swaps = product.adj[u] & unit & ~t_a
     for x_a in bits(center_swaps):
         for x_u in bits(member_swaps):
-            if copy_mask & ~closed_neighborhood(product, base | 1 << x_a | 1 << x_u) == 0:
+            if _dominates_copy(product, copy_mask, base | 1 << x_a | 1 << x_u):
                 return "ii"
     for x_u in bits(member_swaps):
-        if copy_mask & ~closed_neighborhood(product, base | 1 << x_u) == 0:
+        if _dominates_copy(product, copy_mask, base | 1 << x_u):
             return "iii"
     return None
 

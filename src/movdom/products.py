@@ -79,6 +79,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
     return Graph(n, tuple(adj)), layout
 
 
+# No caller in the package: kept because the tests and bench/tracer.py read it.
 def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> Graph:
     """The copy attached to center a as a standalone graph.
 

@@ -32,13 +32,13 @@ from movdom import (
     is_dominating,
     join,
     path,
-    sample_dominating_sets,
-    slice_copy,
     star,
     vertex_list,
     verify_lemma_3_5,
 )
+from movdom.domination import sample_dominating_sets
 from movdom.graph import enumerate_connected_graphs
+from movdom.products import slice_copy
 
 MODES = (ReplacementMode.LITERAL, ReplacementMode.DISTINCT)
 

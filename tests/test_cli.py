@@ -258,6 +258,22 @@ class TestBuild:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    # The first header overflows a list index, the second (2**62) asks for more
+    # memory than can exist; both fail before anything is allocated.
+    @pytest.mark.parametrize("header", ["99999999999999999999", "4611686018427387904"])
+    def test_huge_header_is_one_error_line(self, header, capsys, tmp_path):
+        target = tmp_path / "huge.edges"
+        target.write_text(f"{header}\n0 1\n", encoding="ascii")
+        code, out, err = run_cli(
+            ["build", "join", "--left", str(target), "--right", "family:path:2",
+             "--output", str(tmp_path / "j.edges")],
+            capsys,
+        )
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err[len("error:"):].strip()
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [target]
+
     @pytest.mark.parametrize(
         "product, left, right, sidecar",
         [

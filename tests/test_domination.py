@@ -15,11 +15,15 @@ from movdom import (
     mask_of,
     path,
     random_connected_graph,
-    sample_dominating_sets,
     star,
     vertex_list,
 )
-from movdom.domination import ascending_k_subsets, dominating_samples, greedy_repair
+from movdom.domination import (
+    ascending_k_subsets,
+    dominating_samples,
+    greedy_repair,
+    sample_dominating_sets,
+)
 from movdom.graph import enumerate_connected_graphs
 from strategies import graphs, graphs_with_subset
 

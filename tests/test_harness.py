@@ -5,8 +5,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import movdom.domination
 import movdom.harness
+import movdom.products
 from movdom import (
     BudgetConfig,
     CLAIM_IDS,
@@ -24,8 +28,6 @@ from movdom import (
     mask_of,
     path,
     run_all,
-    sample_dominating_sets,
-    slice_copy,
     solve_jointly,
     star,
     verify_corollary_3_1,
@@ -36,7 +38,10 @@ from movdom import (
     verify_theorem_3_3,
     verify_theorem_3_6,
 )
+from movdom.domination import sample_dominating_sets
 from movdom.graph import enumerate_connected_graphs
+from movdom.products import slice_copy
+from strategies import graphs
 
 
 class TestClaimReport:
@@ -149,6 +154,32 @@ class TestLemma34:
     def test_zero_samples_is_vacuous(self):
         report = verify_lemma_3_4([path(3)], [complete(2)], samples_per_corona=0, seed=0)
         assert report.passed and report.instances == 0
+
+    @given(st.data())
+    def test_copy_test_matches_standalone_copy(self, data):
+        g = data.draw(graphs(1, 8))
+        h = data.draw(graphs(1, 16 // g.n - 1))
+        product, layout = corona(g, h)
+        t = data.draw(st.integers(0, product.full_mask))
+        for a in range(g.n):
+            copy_mask = layout.copy_mask(a)
+            standalone = slice_copy(layout, a, product)
+            local = (t & copy_mask) >> layout.copies[a][0]
+            in_product = movdom.harness._dominates_copy(product, copy_mask, t & copy_mask)
+            assert in_product == is_dominating(standalone, local)
+
+    def test_checked_inside_the_product(self, monkeypatch):
+        for name in ("slice_copy", "sample_dominating_sets"):
+            assert not hasattr(movdom, name)
+        for name in ("slice_copy", "sample_dominating_sets", "is_dominating"):
+            assert not hasattr(movdom.harness, name)
+
+        def refuse(*args):
+            raise AssertionError("lemma-3.4 builds no standalone copy and uses one sampler")
+
+        monkeypatch.setattr(movdom.products, "slice_copy", refuse)
+        monkeypatch.setattr(movdom.domination, "sample_dominating_sets", refuse)
+        assert verify_lemma_3_4([path(3)], [complete(2)], 20, 0).passed
 
 
 class TestLemma35:
@@ -331,11 +362,11 @@ class TestLemmaFaultInjection:
         clean = verify_lemma_3_4(LEMMA_G, LEMMA_H, samples_per_corona=4, seed=3)
         calls = []
 
-        def never(g, s):
-            calls.append(s)
+        def never(product, copy_mask, members):
+            calls.append(members)
             return False
 
-        monkeypatch.setattr(movdom.harness, "is_dominating", never)
+        monkeypatch.setattr(movdom.harness, "_dominates_copy", never)
         report = verify_lemma_3_4(LEMMA_G, LEMMA_H, samples_per_corona=4, seed=3)
         assert report.status == "fail"
         # center 0 is in T, so the first restriction checked is center 1's

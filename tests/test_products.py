@@ -10,10 +10,10 @@ from movdom import (
     join,
     mask_of,
     path,
-    slice_copy,
     star,
     vertex_list,
 )
+from movdom.products import slice_copy
 from strategies import graphs
 
 
