@@ -80,9 +80,11 @@ def _json_out(payload: dict) -> None:
 
 
 def _cmd_compute(args) -> int:
+    if args.mode is not None and args.which != "gamma-m2":
+        raise ValueError("--mode applies only to gamma-m2")
     family = args.family is not None
     g = _read_graph(args.family if family else args.input, family, check_solver_order)
-    mode = ReplacementMode(args.mode)
+    mode = ReplacementMode(args.mode or ReplacementMode.LITERAL)
     if args.which == "gamma":
         result = gamma(g)
     elif args.which == "gamma-m1":
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--family", help="family spec, e.g. path:4")
     source.add_argument("--input", help="edge-list file to read")
     p_compute.add_argument(
-        "--mode", choices=[m.value for m in ReplacementMode], default=ReplacementMode.LITERAL.value
+        "--mode", choices=[m.value for m in ReplacementMode], help="gamma-m2 only (default literal)"
     )
     p_compute.add_argument("--json", action="store_true")
     p_compute.set_defaults(func=_cmd_compute)

@@ -9,7 +9,7 @@ fails to dominate reaches a caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from random import Random
 from typing import TYPE_CHECKING, Iterator
@@ -24,20 +24,23 @@ SOLVER_MAX_ORDER = 24
 
 @dataclass(frozen=True)
 class SolverResult:
-    """An invariant value with its optimal witness, or an explicit absence.
+    """An optimal witness, whose size is the invariant's value, or an explicit absence.
 
-    ``value is None`` means no qualifying set exists at any cardinality.
-    When a value is present the witness attains it, and for the movable
-    invariants the certificate proves the witness qualifies.
+    ``witness is None`` means no qualifying set exists at any cardinality.
+    For the movable invariants the (keyword-only) certificate proves the
+    witness qualifies.
     """
 
-    value: int | None
     witness: VertexSet | None
-    certificate: "MovabilityCertificate | None" = None
+    certificate: "MovabilityCertificate | None" = field(default=None, kw_only=True)
+
+    @property
+    def value(self) -> int | None:
+        return None if self.witness is None else self.witness.bit_count()
 
     @property
     def exists(self) -> bool:
-        return self.value is not None
+        return self.witness is not None
 
 
 def check_solver_order(n: int) -> None:
@@ -131,8 +134,7 @@ def _dominating_below(
 def gamma(g: Graph) -> SolverResult:
     """Exact domination number with the lex-least optimal witness."""
     check_solver_order(g.n)
-    mask = next(dominating_sets(g))
-    return SolverResult(mask.bit_count(), mask)
+    return SolverResult(next(dominating_sets(g)))
 
 
 def greedy_repair(g: Graph, seed_set: VertexSet) -> VertexSet:

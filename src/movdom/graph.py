@@ -51,26 +51,26 @@ def vertex_list(mask: VertexSet) -> list[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph: vertex count plus per-vertex neighbor masks.
+    """A simple undirected graph: one neighbor mask per vertex.
 
     Instances are immutable values; they hash and compare by content and
     can be shared freely.  Construction validates the representation
-    invariants (no self-loops, symmetric adjacency, indices in range) and
-    then builds ``closed``, the closed neighbourhood N[v] = adj[v] | {v}
-    of each vertex, which the solvers and movability predicates read.  It
-    is derived from ``adj``, so it takes no part in equality, hashing or
-    repr, and ``closed_neighborhood`` does not read it.
+    invariants (no self-loops, symmetric adjacency, indices in range).
+    The order ``n`` is the adjacency's length, and ``closed`` holds the
+    closed neighbourhood N[v] = adj[v] | {v} of each vertex, which the
+    solvers and movability predicates read (``closed_neighborhood`` does
+    not).  Both come from ``adj``, so neither takes part in equality,
+    hashing or repr.
     """
 
-    n: int
     adj: tuple[VertexSet, ...]
+    n: int = field(init=False, repr=False, compare=False)
     closed: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", len(self.adj))
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length must equal the vertex count")
         for v, nbrs in enumerate(self.adj):
             if nbrs >> self.n or nbrs < 0:
                 raise ValueError(f"vertex {v} has a neighbor index out of range")
@@ -118,7 +118,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
                 raise ValueError(f"endpoint {w} out of range for order {n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def path(n: int) -> Graph:

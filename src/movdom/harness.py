@@ -108,9 +108,9 @@ def _report(
 
 
 def _solved_row(g: Graph) -> tuple[int | None, ...]:
-    """gamma, gamma_m1 and gamma_m2 in each of ``_MODES`` (None where absent), from one scan."""
+    """gamma, then gamma_m1 and gamma_m2 in each of ``_MODES`` from one scan (None where absent)."""
     found = solve_jointly(g, m1=True, modes=_MODES)
-    return tuple(r.value for r in (found.gamma, found.m1, *(found.m2[m] for m in _MODES)))
+    return tuple(r.value for r in (gamma(g), found.m1, *(found.m2[m] for m in _MODES)))
 
 
 def _class_rows(max_order: int) -> list[tuple[Graph, int, tuple]]:

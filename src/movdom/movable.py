@@ -57,8 +57,8 @@ every set that holds s too.  (b) No set at all is 2-movable
 in DISTINCT: by (a) s is outside the set, so l1 and l2 are inside, and
 the pair {l1, l2} can only be swapped to (s, s).  So DISTINCT is reported
 absent without a scan.  A skipped set would fail its test anyway, so
-every value, least witness and certificate stays the same; gamma and
-gamma_m1 still see every set.  On all 27,470 labeled connected graphs of
+every value, least witness and certificate stays the same; gamma_m1
+still sees every set.  On all 27,470 labeled connected graphs of
 order 4-6 a LITERAL witness exists, and the 1,875 with no DISTINCT
 witness are exactly the 1,875 with a strong support.
 
@@ -266,7 +266,7 @@ def _scan_test(
 
 
 class JointResult(NamedTuple):
-    """What one scan found: gamma always, each requested movable invariant.
+    """What one scan found: each requested movable invariant.
 
     ``m1`` is None when it was not requested, and ``m2`` maps each
     requested replacement mode to its result.  A named tuple rather than a
@@ -274,7 +274,6 @@ class JointResult(NamedTuple):
     build once per solver call.
     """
 
-    gamma: SolverResult
     m1: SolverResult | None
     m2: dict[ReplacementMode, SolverResult]
 
@@ -282,11 +281,11 @@ class JointResult(NamedTuple):
 def solve_jointly(
     g: Graph, m1: bool = False, modes: tuple[ReplacementMode, ...] = ()
 ) -> JointResult:
-    """gamma, and gamma_m1 and gamma_m2 in the given modes, from one scan of dominating sets.
+    """gamma_m1 and gamma_m2 in the given modes, from one scan of dominating sets.
 
-    gamma's witness is the first set scanned.  Each movable invariant's
-    witness is the first set in scan order that passes its predicate; a
-    set of one member is never tested for 2-movability.  When both modes
+    gamma itself comes from ``gamma``.  Each invariant's witness is the
+    first set in scan order that passes its predicate; a set of one
+    member is never tested for 2-movability.  When both modes
     are asked for, DISTINCT is tested only from the LITERAL witness onwards
     (see the module docstring).  A set holding a leaf and its one
     neighbour, or a strong support (a vertex with two leaves), is not
@@ -300,7 +299,7 @@ def solve_jointly(
     check_solver_order(g.n)
     for mode in modes:
         _check_mode(mode)
-    first = m1_found = None
+    m1_found = None
     # the modes still without a witness, LITERAL first; only the head is tested
     pending = [m for m in _MODES if m in modes]
     found = {}
@@ -316,25 +315,22 @@ def solve_jointly(
     skip = strong.union(closed[l] for l in leaves)
     recent = []  # the blocking pairs of the last failed full tests, newest first
     for mask in dominating_sets(g):
-        if first is None:
-            first = mask
         if m1 and m1_found is None:
             cert = is_1movable_dominating(g, mask)
             if cert:
-                m1_found = SolverResult(mask.bit_count(), mask, cert)
+                m1_found = SolverResult(mask, certificate=cert)
         if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in skip):
             _, once, twice = _coverage(g, mask)
             while pending:
                 cert = _scan_test(g, mask, once, twice, pending[0], recent)
                 if not cert:
                     break
-                found[pending.pop(0)] = SolverResult(mask.bit_count(), mask, cert)
+                found[pending.pop(0)] = SolverResult(mask, certificate=cert)
         if not pending and (m1_found or not m1):
             break
     return JointResult(
-        SolverResult(first.bit_count(), first),
-        (m1_found or SolverResult(None, None)) if m1 else None,
-        {mode: found.get(mode) or SolverResult(None, None) for mode in modes},
+        (m1_found or SolverResult(None)) if m1 else None,
+        {mode: found.get(mode) or SolverResult(None) for mode in modes},
     )
 
 

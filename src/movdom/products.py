@@ -55,7 +55,7 @@ def join(g: Graph, h: Graph) -> tuple[Graph, JoinLayout]:
     g_mask = _interval_mask(0, pg)
     adj = [g.adj[v] | h_mask for v in range(pg)]
     adj += [(h.adj[w] << pg) | g_mask for w in range(ph)]
-    return Graph(pg + ph, tuple(adj)), JoinLayout((0, pg), (pg, pg + ph))
+    return Graph(tuple(adj)), JoinLayout((0, pg), (pg, pg + ph))
 
 
 def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
@@ -76,7 +76,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
         for j in range(ph):
             adj[start + j] = (h.adj[j] << start) | 1 << a
     layout = CoronaLayout(tuple(range(pg)), tuple(copies))
-    return Graph(n, tuple(adj)), layout
+    return Graph(tuple(adj)), layout
 
 
 # No caller in the package: kept because the tests and bench/tracer.py read it.
@@ -91,4 +91,4 @@ def slice_copy(layout: CoronaLayout, a: int, product: Graph) -> Graph:
     start, stop = layout.copies[a]
     window = _interval_mask(start, stop)
     adj = tuple((product.adj[v] & window) >> start for v in range(start, stop))
-    return Graph(stop - start, adj)
+    return Graph(adj)

@@ -80,6 +80,14 @@ class TestCompute:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize(
+        "which, mode", [("gamma", "distinct"), ("gamma-m1", "literal")], ids=["gamma", "gamma-m1"]
+    )
+    def test_mode_only_for_gamma_m2(self, which, mode, capsys):
+        code, out, err = run_cli(["compute", which, "--mode", mode, "--family", "path:4"], capsys)
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+
     def test_bad_family_spec(self, capsys):
         code, _, err = run_cli(["compute", "gamma", "--family", "path:x"], capsys)
         assert code == 1
@@ -391,11 +399,11 @@ class TestVerify:
         assert code == 1
 
     def test_claim_failure_exit_code(self, capsys, monkeypatch):
-        wrong = SolverResult(9, mask_of(0, 1))
+        wrong = SolverResult(mask_of(*range(9)))
         monkeypatch.setattr(
             movdom.harness,
             "solve_jointly",
-            lambda g, modes: JointResult(None, None, {m: wrong for m in modes}),
+            lambda g, modes: JointResult(None, {m: wrong for m in modes}),
         )
         code, out, _ = run_cli(["verify", "--claim", "theorem-3.3", "--max-order", "4"], capsys)
         assert code == 3

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import movdom.domination
 import naive
 from movdom import (
+    SolverResult,
     complete,
     cycle,
     dominating_sets,
@@ -76,6 +77,20 @@ class TestIsDominating:
     def test_agrees_with_naive(self, gs):
         g, s = gs
         assert is_dominating(g, s) == naive.dominates(_view(g), set(vertex_list(s)))
+
+
+class TestSolverResult:
+    def test_value_is_the_witness_size(self):
+        found = SolverResult(mask_of(0, 2))
+        assert found.value == 2 and found.exists
+
+    def test_absence(self):
+        absent = SolverResult(None)
+        assert absent.value is None and not absent.exists
+
+    def test_value_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            SolverResult(3, mask_of(0, 1, 2))
 
 
 class TestGamma:

@@ -58,7 +58,19 @@ class TestConstruction:
 
     def test_direct_constructor_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="asymmetric"):
-            Graph(2, (0b10, 0b00))
+            Graph((0b10, 0b00))
+
+    def test_order_is_the_adjacency_length(self):
+        g = Graph((0b10, 0b01))
+        assert g.n == 2 and g == path(2)
+
+    def test_order_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            Graph(2, (0b10, 0b01))
+
+    def test_empty_adjacency_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Graph(())
 
     @given(graphs())
     def test_invariants_hold_on_every_construction(self, g):
@@ -71,12 +83,12 @@ class TestConstruction:
     @given(graphs())
     def test_closed_neighbourhoods_built_with_the_graph(self, g):
         # built eagerly in __post_init__, so a fresh graph already holds it
-        assert "closed" in vars(Graph(g.n, g.adj))
+        assert "closed" in vars(Graph(g.adj))
         assert g.closed == tuple(g.adj[v] | 1 << v for v in range(g.n))
 
     @given(graphs())
     def test_closed_is_not_part_of_the_value(self, g):
-        rebuilt = Graph(g.n, g.adj)
+        rebuilt = Graph(g.adj)
         assert rebuilt == g and hash(rebuilt) == hash(g)
         assert repr(g) == f"Graph(n={g.n}, edges={g.edges()})"
 

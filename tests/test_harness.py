@@ -22,6 +22,7 @@ from movdom import (
     cycle,
     enumerate_connected_classes,
     from_edge_list,
+    gamma,
     gamma_m2,
     is_2movable_dominating,
     is_dominating,
@@ -247,8 +248,8 @@ def _corrupt(mode=None, result=None, m1=None):
     return fake
 
 
-NONE = SolverResult(None, None)
-TOO_SMALL = SolverResult(1, mask_of(0))
+NONE = SolverResult(None)
+TOO_SMALL = SolverResult(mask_of(0))
 LITERAL, DISTINCT = ReplacementMode.LITERAL, ReplacementMode.DISTINCT
 
 # (fake solve_jointly patched on movdom.harness, claim run, first
@@ -287,7 +288,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.6": (
-        _corrupt(LITERAL, SolverResult(7, mask_of(0))),
+        _corrupt(LITERAL, SolverResult(mask_of(*range(7)))),
         lambda: verify_theorem_3_6([complete(2)], [complete(1), path(3)]),
         {
             "g": _graph(complete(2)),
@@ -308,7 +309,7 @@ FOLDED_CLAIMS = {
 class TestCorruptedSolverSensitivity:
     def test_theorem_3_3_detects_and_replays(self, monkeypatch):
         monkeypatch.setattr(
-            movdom.harness, "solve_jointly", _corrupt(result=SolverResult(3, mask_of(0, 1, 2)))
+            movdom.harness, "solve_jointly", _corrupt(result=SolverResult(mask_of(0, 1, 2)))
         )
         report = verify_theorem_3_3([complete(2)], [complete(2)])
         assert not report.passed
@@ -448,9 +449,10 @@ class TestBenchmarkNames:
         assert all(getattr(module, fn) is o for (module, fn), o in zip(names, originals))
 
 
-def _row(found):
+def _row(g):
     """gamma, gamma_m1 and gamma_m2 in both modes, in the order of an enumerated row."""
-    return (found.gamma.value, found.m1.value, found.m2[LITERAL].value, found.m2[DISTINCT].value)
+    found = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT))
+    return (gamma(g).value, found.m1.value, found.m2[LITERAL].value, found.m2[DISTINCT].value)
 
 
 class TestRunAll:
@@ -507,15 +509,11 @@ class TestRunAll:
         rows = movdom.harness.default_pools(budget, {"enumerated"})["enumerated"]
         assert len(rows) == 139
         for g, _, values in rows:
-            assert values == _row(solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)))
+            assert values == _row(g)
         weighted = Counter()
         for _, size, values in rows:
             weighted[values] += size
-        direct = Counter(
-            _row(solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)))
-            for n in (4, 5, 6)
-            for g in enumerate_connected_graphs(n)
-        )
+        direct = Counter(_row(g) for n in (4, 5, 6) for g in enumerate_connected_graphs(n))
         assert sum(direct.values()) == 27_470
         assert weighted == direct
 

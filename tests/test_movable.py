@@ -271,8 +271,8 @@ def _loop_gamma_m1(g):
     for mask in dominating_sets(g):
         cert = is_1movable_dominating(g, mask)
         if cert:
-            return SolverResult(mask.bit_count(), mask, cert)
-    return SolverResult(None, None)
+            return SolverResult(mask, certificate=cert)
+    return SolverResult(None)
 
 
 def _loop_gamma_m2(g, mode):
@@ -280,8 +280,8 @@ def _loop_gamma_m2(g, mode):
     for mask in (s for s in dominating_sets(g) if s.bit_count() >= 2):
         cert = is_2movable_dominating(g, mask, mode)
         if cert:
-            return SolverResult(mask.bit_count(), mask, cert)
-    return SolverResult(None, None)
+            return SolverResult(mask, certificate=cert)
+    return SolverResult(None)
 
 
 def _scan_tests(solver, g, *args, **kwargs):
@@ -321,16 +321,16 @@ class TestJointScan:
         joint = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT))
         loops = {LITERAL: _loop_gamma_m2(g, LITERAL), DISTINCT: _loop_gamma_m2(g, DISTINCT)}
         # value, witness and certificate, from the joint call and the one-invariant wrappers
-        assert joint.gamma == gamma(g)
+        assert gamma(g).witness == next(dominating_sets(g))
         assert joint.m1 == gamma_m1(g) == _loop_gamma_m1(g)
         assert joint.m2 == loops
         for mode in (LITERAL, DISTINCT):
             alone = solve_jointly(g, modes=(mode,))
-            assert alone.gamma == joint.gamma and alone.m2 == {mode: loops[mode]}
+            assert alone.m1 is None and alone.m2 == {mode: loops[mode]}
             assert gamma_m2(g, mode) == loops[mode]
         view = _view(g)
         naive_results = [
-            (joint.gamma, naive.naive_gamma(view)),
+            (gamma(g), naive.naive_gamma(view)),
             (joint.m1, naive.naive_gamma_m1(view)),
             *((joint.m2[m], naive.naive_gamma_m2(view, m is DISTINCT)) for m in loops),
         ]
@@ -356,11 +356,14 @@ class TestJointScan:
         # most sets here are rejected by a recent blocking pair, without the full test
         self._matches_loops_and_naive(g)
 
+    def test_result_holds_only_the_movable_invariants(self):
+        # gamma has one source, ``gamma``
+        assert movdom.movable.JointResult._fields == ("m1", "m2")
+
     def test_only_requested_results(self):
-        # gamma always; gamma_m1 and each mode of gamma_m2 only when asked for
-        assert solve_jointly(path(4)) == movdom.movable.JointResult(gamma(path(4)), None, {})
+        # gamma_m1 and each mode of gamma_m2 only when asked for
+        assert solve_jointly(path(4)) == movdom.movable.JointResult(None, {})
         found = solve_jointly(path(4), modes=(DISTINCT,))
-        assert found.gamma == gamma(path(4))
         assert found.m1 is None and list(found.m2) == [DISTINCT]
 
     @pytest.mark.parametrize(
