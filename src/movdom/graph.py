@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 VertexSet = int  # bitmask over vertices 0..n-1
@@ -221,29 +221,43 @@ def enumerate_connected_classes(n: int) -> Iterator[tuple[Graph, int]]:
 
     The member is the class's least edge mask, so it is the class's first
     graph in ``enumerate_connected_graphs(n)``, and classes come in that
-    order.  The size is the number of labeled graphs in the class, its
-    orbit under all n! vertex permutations (as maps on edge indices).
-    Each orbit is marked seen once its least mask is met, disconnected
-    orbits too, so ``is_connected`` runs once per class of graphs on n
-    vertices.  Supported for 1 <= n <= 6.
+    order.  The size is the number of labeled graphs in the class: its
+    orbit, found by closing the least mask under the transposition (0 1)
+    and the cycle (0 1 ... n-1), which generate all vertex permutations.
+    Disconnected orbits are marked seen too, so ``is_connected`` runs once
+    per class of graphs on n vertices.  Supported for 1 <= n <= 6.
     """
     pairs = _enumerated_pairs(n)
     edge_bit = {p: 1 << i for i, p in enumerate(pairs)}
-    # images[p][i]: the edge bit that pair i goes to under permutation p
-    images = [
-        [edge_bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
-        for p in permutations(range(n))
-    ]
+    half = (len(pairs) + 1) // 2
+    low_bits = (1 << half) - 1
+    # one (low, high) pair per generator: mask x maps to low[x & low_bits] | high[x >> half]
+    tables = []
+    for p in ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ():
+        images = [edge_bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+        tables.append((_union_table(images[:half]), _union_table(images[half:])))
     seen = bytearray(1 << len(pairs))
     for edge_mask in range(len(seen)):
         if not seen[edge_mask]:
-            members = list(bits(edge_mask))
-            orbit = {sum(map(image.__getitem__, members)) for image in images}
-            for image_mask in orbit:
-                seen[image_mask] = 1
-            g = from_edge_list(n, [pairs[i] for i in members])
+            seen[edge_mask] = 1
+            orbit = [edge_mask]
+            for x in orbit:  # grows as new images are met
+                for low, high in tables:
+                    image_mask = low[x & low_bits] | high[x >> half]
+                    if not seen[image_mask]:
+                        seen[image_mask] = 1
+                        orbit.append(image_mask)
+            g = from_edge_list(n, [pairs[i] for i in bits(edge_mask)])
             if is_connected(g):
                 yield g, len(orbit)
+
+
+def _union_table(images: list[int]) -> list[int]:
+    """table[x]: the union of images[i] over the set bits i of x."""
+    table = [0]
+    for image in images:
+        table += [t | image for t in table]
+    return table
 
 
 def _enumerated_pairs(n: int) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ fast paths are tested against.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 class AdjacencyView:
@@ -134,3 +134,27 @@ def all_labeled_graphs(n: int):
 
 def count_connected(n: int) -> int:
     return sum(1 for g in all_labeled_graphs(n) if connected(g))
+
+
+def connected_classes(n: int):
+    """Each isomorphism class of connected graphs on n vertices, as (edges, size).
+
+    Classes come in the order of their first graph in ``all_labeled_graphs(n)``,
+    and ``edges`` is that graph's sorted edge list.  The size is the number of
+    distinct edge sets that the n! vertex permutations map it to.
+    """
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    classes = []
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        if edges in seen:
+            continue
+        orbit = {
+            frozenset(tuple(sorted((p[u], p[v]))) for u, v in edges)
+            for p in permutations(range(n))
+        }
+        seen |= orbit
+        if connected(AdjacencyView(n, edges)):
+            classes.append((sorted(edges), len(orbit)))
+    return classes

@@ -224,6 +224,11 @@ class TestClassifiedEnumeration:
         at = [position[g] for g, _ in _classes(n)]
         assert at == sorted(at)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_match_brute_force(self, n):
+        # member and size of each class, in order, against every permutation of every edge set
+        assert [(g.edges(), size) for g, size in _classes(n)] == naive.connected_classes(n)
+
 
 @pytest.fixture(scope="module")
 def nx():
