@@ -49,7 +49,6 @@ from .harness import (
     verify_theorem_3_6,
 )
 from .movable import (
-    JointResult,
     MalformedCertificateError,
     MovabilityCertificate,
     MovabilityFailure,

@@ -40,7 +40,7 @@ from .graph import (
     path,
     vertex_list,
 )
-from .movable import _MODES, is_2movable_dominating, solve_jointly
+from .movable import _MODES, gamma_m1, is_2movable_dominating, solve_jointly
 from .products import CoronaLayout, corona, join
 
 CORONA_ORDER_CAP = 16
@@ -108,9 +108,9 @@ def _report(
 
 
 def _solved_row(g: Graph) -> tuple[int | None, ...]:
-    """gamma, then gamma_m1 and gamma_m2 in each of ``_MODES`` from one scan (None where absent)."""
-    found = solve_jointly(g, m1=True, modes=_MODES)
-    return tuple(r.value for r in (gamma(g), found.m1, *(found.m2[m] for m in _MODES)))
+    """gamma, gamma_m1, then gamma_m2 in each of ``_MODES`` from one scan (None where absent)."""
+    found = solve_jointly(g, modes=_MODES)
+    return tuple(r.value for r in (gamma(g), gamma_m1(g), *(found[m] for m in _MODES)))
 
 
 def _class_rows(max_order: int) -> list[tuple[Graph, int, tuple]]:
@@ -164,7 +164,7 @@ def _formula_claim(claim: str, pool: str, items: list, product, expected, factor
     def check(item):
         built, _ = product(*item)
         want = expected(*item)
-        solved = solve_jointly(built, modes=_MODES).m2
+        solved = solve_jointly(built, modes=_MODES)
         for mode in _MODES:
             got = solved[mode].value
             if got != want:
@@ -370,7 +370,7 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int, seed: int) -> Clai
         # Both modes read the same draws; tee draws each only once, as far
         # as the longer reader goes.
         streams = tee(islice(dominating_samples(product, seed), draw_cap), len(_MODES))
-        solved = solve_jointly(product, modes=_MODES).m2
+        solved = solve_jointly(product, modes=_MODES)
         for m, stream in zip(_MODES, streams):
             witness = [solved[m].witness] if solved[m].exists else []
             hits = (t for t in stream if is_2movable_dominating(product, t, m))

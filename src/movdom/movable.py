@@ -35,13 +35,12 @@ iff the replacements' closed neighbourhoods cover ``lost``.
 re-checks every move with plain ``is_dominating``, which reads only the
 adjacency, so it stays independent of the predicates.
 
-All exact movable solvers share one scan, ``solve_jointly``: it walks the
-dominating sets once, in the order of ``dominating_sets``, and tests each
-set for every requested invariant that has no witness yet.  The two modes
-share it too.  Every DISTINCT certificate is also a LITERAL one, so no set
-before the LITERAL witness is DISTINCT-movable: DISTINCT is tested only
-from that set onwards, and its witness is still the first DISTINCT-movable
-set in scan order.
+``gamma`` and ``gamma_m1`` are first-hit loops over ``dominating_sets``;
+``solve_jointly`` walks the same sets once for gamma_m2's requested modes.
+Every DISTINCT certificate is also a LITERAL one, so no set before the
+LITERAL witness is DISTINCT-movable: DISTINCT is tested only from that
+set onwards, and its witness is still the first DISTINCT-movable set in
+scan order.
 
 The scan skips the 2-movable tests of every set that holds a leaf l and
 its one neighbour s (the leaf rule).  No such set is 2-movable in either
@@ -57,10 +56,10 @@ every set that holds s too.  (b) No set at all is 2-movable
 in DISTINCT: by (a) s is outside the set, so l1 and l2 are inside, and
 the pair {l1, l2} can only be swapped to (s, s).  So DISTINCT is reported
 absent without a scan.  A skipped set would fail its test anyway, so
-every value, least witness and certificate stays the same; gamma_m1
-still sees every set.  On all 27,470 labeled connected graphs of
-order 4-6 a LITERAL witness exists, and the 1,875 with no DISTINCT
-witness are exactly the 1,875 with a strong support.
+every value, least witness and certificate stays the same.  On all 27,470
+labeled connected graphs of order 4-6 a LITERAL witness exists, and the
+1,875 with no DISTINCT witness are exactly the 1,875 with a strong
+support.
 
 Whether a pair {x, y} moves depends only on S within N[N[x] | N[y]], so
 the pair that blocked one set often blocks the next (the "last conflict"
@@ -114,9 +113,9 @@ class Move(NamedTuple):
 
     ``members`` is (v,), or (x, y) with x < y.  ``replacement`` holds one
     outside neighbor per member, in the same order (u for x, v for y), or
-    is None when the members are simply dropped.  A named tuple, like
-    ``JointResult``: a frozen dataclass is slower to build, and the
-    predicates build one per member or pair.
+    is None when the members are simply dropped.  A named tuple: a frozen
+    dataclass is slower to build, and the predicates build one per member
+    or pair.
     """
 
     members: tuple[int, ...]
@@ -265,41 +264,21 @@ def _scan_test(
     return cert
 
 
-class JointResult(NamedTuple):
-    """What one scan found: each requested movable invariant.
-
-    ``m1`` is None when it was not requested, and ``m2`` maps each
-    requested replacement mode to its result.  A named tuple rather than a
-    frozen dataclass, which is slower both to define at import and to
-    build once per solver call.
-    """
-
-    m1: SolverResult | None
-    m2: dict[ReplacementMode, SolverResult]
-
-
 def solve_jointly(
-    g: Graph, m1: bool = False, modes: tuple[ReplacementMode, ...] = ()
-) -> JointResult:
-    """gamma_m1 and gamma_m2 in the given modes, from one scan of dominating sets.
+    g: Graph, modes: tuple[ReplacementMode, ...] = ()
+) -> dict[ReplacementMode, SolverResult]:
+    """gamma_m2 in each of the given modes, from one scan of dominating sets.
 
-    gamma itself comes from ``gamma``.  Each invariant's witness is the
-    first set in scan order that passes its predicate; a set of one
-    member is never tested for 2-movability.  When both modes
-    are asked for, DISTINCT is tested only from the LITERAL witness onwards
-    (see the module docstring).  A set holding a leaf and its one
-    neighbour, or a strong support (a vertex with two leaves), is not
-    tested for 2-movability in any mode: it would fail.  When g has a
-    strong support, DISTINCT is reported absent without testing any set.
-    A set is tested first on the pairs that blocked the last failed tests.
-    The scan stops once every requested invariant has a witness, and
-    reports absence for any that has none after the whole vertex set.  A
-    mode that is not a ReplacementMode member raises ValueError.
+    Each mode's witness is the first set of ``dominating_sets`` with at
+    least two members that is 2-movable in that mode.  The scan skips the
+    sets the module docstring rules out, tests the rest first on recent
+    blocking pairs, stops once every mode has a witness, and reports
+    absence for any mode without one.  A mode that is not a
+    ReplacementMode member raises ValueError.
     """
     check_solver_order(g.n)
     for mode in modes:
         _check_mode(mode)
-    m1_found = None
     # the modes still without a witness, LITERAL first; only the head is tested
     pending = [m for m in _MODES if m in modes]
     found = {}
@@ -315,10 +294,6 @@ def solve_jointly(
     skip = strong.union(closed[l] for l in leaves)
     recent = []  # the blocking pairs of the last failed full tests, newest first
     for mask in dominating_sets(g):
-        if m1 and m1_found is None:
-            cert = is_1movable_dominating(g, mask)
-            if cert:
-                m1_found = SolverResult(mask, certificate=cert)
         if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in skip):
             _, once, twice = _coverage(g, mask)
             while pending:
@@ -326,17 +301,23 @@ def solve_jointly(
                 if not cert:
                     break
                 found[pending.pop(0)] = SolverResult(mask, certificate=cert)
-        if not pending and (m1_found or not m1):
+        if not pending:
             break
-    return JointResult(
-        (m1_found or SolverResult(None)) if m1 else None,
-        {mode: found.get(mode) or SolverResult(None) for mode in modes},
-    )
+    return {mode: found.get(mode) or SolverResult(None) for mode in modes}
 
 
 def gamma_m1(g: Graph) -> SolverResult:
-    """Exact 1-movable domination number, or absence when no set qualifies."""
-    return solve_jointly(g, m1=True).m1
+    """Exact 1-movable domination number, or absence when no set qualifies.
+
+    The witness is the first 1-movable set of ``dominating_sets``, as
+    ``gamma``'s is the first set.
+    """
+    check_solver_order(g.n)
+    for mask in dominating_sets(g):
+        cert = is_1movable_dominating(g, mask)
+        if cert:
+            return SolverResult(mask, certificate=cert)
+    return SolverResult(None)
 
 
 def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> SolverResult:
@@ -346,7 +327,7 @@ def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> Solve
     mode, or absence when none is: 2-movability is not closed under
     supersets, so the scan runs up to the whole vertex set.
     """
-    return solve_jointly(g, modes=(mode,)).m2[mode]
+    return solve_jointly(g, modes=(mode,))[mode]
 
 
 def verify_certificate(

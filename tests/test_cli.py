@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import movdom.harness
-from movdom import JointResult, SolverResult, format_edge_list, mask_of, path
+from movdom import SolverResult, format_edge_list, mask_of, path
 from movdom.cli import main
 
 
@@ -403,7 +403,7 @@ class TestVerify:
         monkeypatch.setattr(
             movdom.harness,
             "solve_jointly",
-            lambda g, modes: JointResult(None, {m: wrong for m in modes}),
+            lambda g, modes: {m: wrong for m in modes},
         )
         code, out, _ = run_cli(["verify", "--claim", "theorem-3.3", "--max-order", "4"], capsys)
         assert code == 3

@@ -23,6 +23,7 @@ from movdom import (
     enumerate_connected_classes,
     from_edge_list,
     gamma,
+    gamma_m1,
     gamma_m2,
     is_2movable_dominating,
     is_dominating,
@@ -236,14 +237,13 @@ def _graph(g):
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-def _corrupt(mode=None, result=None, m1=None):
+def _corrupt(mode=None, result=None):
     """solve_jointly that returns result for gamma_m2 in mode (every mode when
-    mode is None), m1 for gamma_m1 if given, and the true results otherwise."""
+    mode is None), and the true results otherwise."""
 
     def fake(g, **asked):
         true = solve_jointly(g, **asked)
-        wrong = {m: result for m in true.m2 if mode in (None, m)} if result else {}
-        return true._replace(m1=m1 or true.m1, m2={**true.m2, **wrong})
+        return {m: result if mode in (None, m) else r for m, r in true.items()}
 
     return fake
 
@@ -252,21 +252,21 @@ NONE = SolverResult(None)
 TOO_SMALL = SolverResult(mask_of(0))
 LITERAL, DISTINCT = ReplacementMode.LITERAL, ReplacementMode.DISTINCT
 
-# (fake solve_jointly patched on movdom.harness, claim run, first
+# ((solver name on movdom.harness, its fake), claim run, first
 # counterexample); every pool has two admissible instances.
 FOLDED_CLAIMS = {
     "remark-3.1": (
-        _corrupt(DISTINCT, TOO_SMALL),
+        ("solve_jointly", _corrupt(DISTINCT, TOO_SMALL)),
         lambda: verify_remark_3_1([path(4), cycle(4)]),
         {"graph": _graph(path(4)), "mode": "distinct", "expected": ">= 2", "got": 1},
     ),
     "theorem-3.2/gamma-m1": (
-        _corrupt(m1=NONE),
+        ("gamma_m1", lambda g: NONE),
         lambda: verify_theorem_3_2([path(4), cycle(4)]),
         {"graph": _graph(path(4)), "inequality": "gamma <= gamma-m1", "gamma": 2, "got": "none"},
     ),
     "theorem-3.2/gamma-m2": (
-        _corrupt(DISTINCT, TOO_SMALL),
+        ("solve_jointly", _corrupt(DISTINCT, TOO_SMALL)),
         lambda: verify_theorem_3_2([path(4), cycle(4)]),
         {
             "graph": _graph(path(4)),
@@ -277,7 +277,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.3": (
-        _corrupt(DISTINCT, NONE),
+        ("solve_jointly", _corrupt(DISTINCT, NONE)),
         lambda: verify_theorem_3_3([complete(2)], [complete(2), path(3)]),
         {
             "g": _graph(complete(2)),
@@ -288,7 +288,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.6": (
-        _corrupt(LITERAL, SolverResult(mask_of(*range(7)))),
+        ("solve_jointly", _corrupt(LITERAL, SolverResult(mask_of(*range(7))))),
         lambda: verify_theorem_3_6([complete(2)], [complete(1), path(3)]),
         {
             "g": _graph(complete(2)),
@@ -299,7 +299,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "corollary-3.1": (
-        _corrupt(DISTINCT, NONE),
+        ("solve_jointly", _corrupt(DISTINCT, NONE)),
         lambda: verify_corollary_3_1([cycle(4), path(5)]),
         {"h": _graph(cycle(4)), "mode": "distinct", "expected": 2, "got": "none"},
     ),
@@ -336,12 +336,13 @@ class TestCorruptedSolverSensitivity:
 
     @pytest.mark.parametrize("case", FOLDED_CLAIMS)
     def test_folded_claim_counterexample(self, case, monkeypatch):
-        fake, run, counterexample = FOLDED_CLAIMS[case]
-        modes = []
+        (solver, fake), run, counterexample = FOLDED_CLAIMS[case]
+        monkeypatch.setattr(movdom.harness, solver, fake)
+        solve, modes = movdom.harness.solve_jointly, []
 
         def counted(g, **asked):
             modes.extend(asked["modes"])
-            return fake(g, **asked)
+            return solve(g, **asked)
 
         monkeypatch.setattr(movdom.harness, "solve_jointly", counted)
         report = run()
@@ -451,8 +452,8 @@ class TestBenchmarkNames:
 
 def _row(g):
     """gamma, gamma_m1 and gamma_m2 in both modes, in the order of an enumerated row."""
-    found = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT))
-    return (gamma(g).value, found.m1.value, found.m2[LITERAL].value, found.m2[DISTINCT].value)
+    found = solve_jointly(g, modes=(LITERAL, DISTINCT))
+    return (gamma(g).value, gamma_m1(g).value, found[LITERAL].value, found[DISTINCT].value)
 
 
 class TestRunAll:
@@ -482,8 +483,9 @@ class TestRunAll:
             assert alone == full[claim]
 
     def test_enumerated_claims_share_one_scan(self, monkeypatch):
-        connected, solved = [], []
+        connected, solved, solved_m1 = [], [], []
         is_connected, solve = movdom.harness.is_connected, movdom.harness.solve_jointly
+        solve_m1 = movdom.harness.gamma_m1
 
         def counted_connected(g):
             connected.append(g)
@@ -493,15 +495,20 @@ class TestRunAll:
             solved.append(g)
             return solve(g, **asked)
 
+        def counted_m1(g):
+            solved_m1.append(g)
+            return solve_m1(g)
+
         monkeypatch.setattr(movdom.harness, "is_connected", counted_connected)
         monkeypatch.setattr(movdom.harness, "solve_jointly", counted_solve)
+        monkeypatch.setattr(movdom.harness, "gamma_m1", counted_m1)
         reports = run_all(BudgetConfig(max_order=4), claims=["remark-3.1", "theorem-3.2"])
         assert [r.instances for r in reports] == [38, 38]
         assert reports[0].pool == "38 connected graphs of order >= 4 (of 38 supplied)"
         # the default pool is enumerated connected, so it is not tested again
         assert connected == []
-        # one scan per isomorphism class, on the class's graph, in class order
-        assert solved == [g for g, _ in enumerate_connected_classes(4)]
+        # one scan and one gamma_m1 call per isomorphism class, on its graph, in class order
+        assert solved == solved_m1 == [g for g, _ in enumerate_connected_classes(4)]
 
     def test_class_rows_equal_direct_scans(self):
         """Each row holds its graph's own scan, and the rows weighted by size hold every graph's."""

@@ -267,7 +267,7 @@ class TestSolvers:
 
 
 def _loop_gamma_m1(g):
-    """gamma_m1 as its own scan loop, kept from before the joint scan."""
+    """gamma_m1 as a first-hit loop written out here, apart from the solver."""
     for mask in dominating_sets(g):
         cert = is_1movable_dominating(g, mask)
         if cert:
@@ -318,21 +318,21 @@ def _sparse_graphs(draw):
 
 class TestJointScan:
     def _matches_loops_and_naive(self, g):
-        joint = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT))
+        joint = solve_jointly(g, modes=(LITERAL, DISTINCT))
         loops = {LITERAL: _loop_gamma_m2(g, LITERAL), DISTINCT: _loop_gamma_m2(g, DISTINCT)}
         # value, witness and certificate, from the joint call and the one-invariant wrappers
         assert gamma(g).witness == next(dominating_sets(g))
-        assert joint.m1 == gamma_m1(g) == _loop_gamma_m1(g)
-        assert joint.m2 == loops
+        assert gamma_m1(g) == _loop_gamma_m1(g)
+        assert joint == loops
         for mode in (LITERAL, DISTINCT):
             alone = solve_jointly(g, modes=(mode,))
-            assert alone.m1 is None and alone.m2 == {mode: loops[mode]}
+            assert alone == {mode: loops[mode]}
             assert gamma_m2(g, mode) == loops[mode]
         view = _view(g)
         naive_results = [
             (gamma(g), naive.naive_gamma(view)),
-            (joint.m1, naive.naive_gamma_m1(view)),
-            *((joint.m2[m], naive.naive_gamma_m2(view, m is DISTINCT)) for m in loops),
+            (gamma_m1(g), naive.naive_gamma_m1(view)),
+            *((joint[m], naive.naive_gamma_m2(view, m is DISTINCT)) for m in loops),
         ]
         for result, (value, witness) in naive_results:
             assert result.value == value
@@ -357,14 +357,14 @@ class TestJointScan:
         self._matches_loops_and_naive(g)
 
     def test_result_holds_only_the_movable_invariants(self):
-        # gamma has one source, ``gamma``
-        assert movdom.movable.JointResult._fields == ("m1", "m2")
+        # gamma has one source, ``gamma``, and gamma_m1 one, ``gamma_m1``
+        assert list(solve_jointly(path(4), modes=(LITERAL, DISTINCT))) == [LITERAL, DISTINCT]
 
     def test_only_requested_results(self):
-        # gamma_m1 and each mode of gamma_m2 only when asked for
-        assert solve_jointly(path(4)) == movdom.movable.JointResult(None, {})
+        # each mode of gamma_m2 only when asked for
+        assert solve_jointly(path(4)) == {}
         found = solve_jointly(path(4), modes=(DISTINCT,))
-        assert found.m1 is None and list(found.m2) == [DISTINCT]
+        assert list(found) == [DISTINCT]
 
     @pytest.mark.parametrize(
         "g",
@@ -379,15 +379,14 @@ class TestJointScan:
         assert checked and all(s.bit_count() >= 2 for s in checked)
         view = _view(g)
         for mode in (LITERAL, DISTINCT):
-            assert found.m2[mode] == _loop_gamma_m2(g, mode)
+            assert found[mode] == _loop_gamma_m2(g, mode)
             value, witness = naive.naive_gamma_m2(view, mode is DISTINCT)
-            assert found.m2[mode].value == value
-            assert found.m2[mode].witness == (None if witness is None else mask_of(*witness))
+            assert found[mode].value == value
+            assert found[mode].witness == (None if witness is None else mask_of(*witness))
 
     def test_distinct_tested_from_literal_witness_on(self):
         for g in enumerate_connected_graphs(5):
-            joint, tests = _scan_tests(solve_jointly, g, modes=(DISTINCT, LITERAL))
-            found = joint.m2
+            found, tests = _scan_tests(solve_jointly, g, modes=(DISTINCT, LITERAL))
             checked = [(s, mode) for s, mode, _ in tests]
             literal = [s for s, m in checked if m is LITERAL]
             distinct = [s for s, m in checked if m is DISTINCT]
@@ -486,7 +485,7 @@ class TestLeafRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_leaves(9))
     def test_scan_skips_sets_with_leaf_pair(self, g):
-        _, checked = self._checked_sets(solve_jointly, g, m1=True, modes=(LITERAL, DISTINCT))
+        _, checked = self._checked_sets(solve_jointly, g, modes=(LITERAL, DISTINCT))
         pairs = _leaf_pairs(g)
         assert not any(_holds_leaf_pair(s, pairs) for s in checked)
 
@@ -515,7 +514,7 @@ class TestStrongSupportRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_strong_support(9, connected=True))
     def test_matches_naive(self, g):
-        found = solve_jointly(g, m1=True, modes=(LITERAL, DISTINCT)).m2
+        found = solve_jointly(g, modes=(LITERAL, DISTINCT))
         view = _view(g)
         assert not found[DISTINCT].exists
         assert naive.naive_gamma_m2(view, True) == (None, None)
@@ -526,8 +525,7 @@ class TestStrongSupportRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_strong_support(9))
     def test_scan_never_tests_a_strong_support(self, g):
-        joint, tests = _scan_tests(solve_jointly, g, m1=True, modes=(LITERAL, DISTINCT))
-        found = joint.m2
+        found, tests = _scan_tests(solve_jointly, g, modes=(LITERAL, DISTINCT))
         checked = [(s, mode) for s, mode, _ in tests]
         strong = _strong_supports(g)
         assert strong and not found[DISTINCT].exists
@@ -539,7 +537,7 @@ class TestStrongSupportRule:
         absent = with_strong = 0
         for n in range(4, 7):
             for g, size in enumerate_connected_classes(n):
-                found = solve_jointly(g, modes=(LITERAL, DISTINCT)).m2
+                found = solve_jointly(g, modes=(LITERAL, DISTINCT))
                 strong = bool(_strong_supports(g))
                 assert found[LITERAL].exists
                 assert found[DISTINCT].exists is not strong
