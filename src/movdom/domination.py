@@ -2,17 +2,20 @@
 
 The exact solvers iterate ``dominating_sets``: every dominating set by
 ascending cardinality and, within a cardinality, by ascending bitmask, so
-the reported witness is always the numerically least optimal set.  The
-generator prunes branches that cannot reach domination, so no set that
-fails to dominate reaches a caller.
+the reported witness is always the numerically least optimal set.
+gamma_m1 and gamma_m2 iterate ``dominating_sets_with_coverage``, the same
+generator with a ban table and each set's coverage masks.  The generator prunes
+branches that cannot reach domination, so no set that fails to dominate
+reaches a caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from random import Random
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .graph import Graph, VertexSet, closed_neighborhood, mask_of
 
@@ -78,57 +81,86 @@ def dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """Every dominating set of g, so the first one is a minimum one.
 
     Sets come by ascending cardinality and, within one, by ascending
-    bitmask: the same order as filtering ``ascending_k_subsets``.  The scan
-    starts at size ceil(n / (1 + max degree)), as no smaller set dominates
-    (Haynes, Hedetniemi and Slater, *Fundamentals of Domination in Graphs*,
-    1998).  Members are picked from the highest index down, with the
-    covered mask carried along.  A branch is cut when some uncovered vertex
-    has its whole closed neighbourhood at or above the last pick, or when
-    the picks left, each covering at most the largest closed degree below
-    the last pick, cannot cover what is left.  The ``stuck`` and ``most``
-    tables live only for this call: kept on every ``Graph`` they would
-    outlive the search.
+    bitmask: the same order as filtering ``ascending_k_subsets``.  This is
+    ``dominating_sets_with_coverage`` with no bans, less the masks it
+    carries, which gamma_m1 reads.  gamma_m2's scan bans each leaf with
+    its support and each strong support, so it never builds a set that no
+    2-movable test could pass (proved in the ``movable`` module docstring).
+    """
+    return map(itemgetter(0), dominating_sets_with_coverage(g, (0,) * g.n, 1))
+
+
+def dominating_sets_with_coverage(
+    g: Graph, ban: Sequence[VertexSet], smallest: int
+) -> Iterator[tuple[VertexSet, VertexSet, VertexSet]]:
+    """Each dominating set of g with ``smallest`` or more members that ``ban`` allows,
+    with the vertices it covers exactly once and exactly twice.
+
+    ``ban[v]`` masks the vertices that may not join v; it must be symmetric,
+    and a vertex that bans itself is never picked.  Sets holding a banned
+    pair are never built; the rest come in ``dominating_sets`` order.  The
+    scan starts at size ceil(n / (1 + max degree)) over the pickable
+    vertices, as no smaller set dominates (Haynes, Hedetniemi and Slater,
+    *Fundamentals of Domination in Graphs*, 1998).  Members are picked from
+    the highest index down, carrying the covered, once and twice masks by
+    ``movable._coverage``'s recurrence.  A branch is cut when some uncovered
+    vertex has all its pickable closed neighbours at or above the last
+    pick, or when the picks left, each covering at most the largest closed
+    degree below the last pick, cannot cover what is left.  The ``stuck``
+    and ``most`` tables live only for this call: kept on every ``Graph``
+    they would outlive the search.
     """
     n, full, closed = g.n, g.full_mask, g.closed
-    # stuck[t]: vertices whose closed neighbourhood lies wholly at or above t.
-    # most[t]: the largest closed-neighbourhood size among vertices below t,
-    # so most[n] is 1 + the maximum degree.
+    excluded = mask_of(*(v for v in range(n) if ban[v] >> v & 1))
+    # stuck[t]: vertices whose pickable closed neighbours all lie at or above t.
+    # most[t]: the largest closed-neighbourhood size among pickable vertices
+    # below t, so most[n] is at most 1 + the maximum degree.
     stuck = [0] * (n + 1)
     most = [0] * (n + 1)
     for u in range(n):
-        stuck[(closed[u] & -closed[u]).bit_length() - 1] |= 1 << u
-        most[u + 1] = max(most[u], closed[u].bit_count())
+        pickable = closed[u] & ~excluded
+        stuck[(pickable & -pickable).bit_length() - 1] |= 1 << u
+        most[u + 1] = max(most[u], 0 if excluded >> u & 1 else closed[u].bit_count())
     for t in range(n - 1, -1, -1):
         stuck[t] |= stuck[t + 1]
 
-    for k in range(-(-n // most[n]), n + 1):
-        yield from _dominating_below(closed, stuck, most, full, 0, 0, n, k)
+    for k in range(max(smallest, -(-n // most[n])), n + 1):
+        yield from _dominating_below(closed, ban, stuck, most, full, 0, excluded, 0, 0, 0, n, k)
 
 
 def _dominating_below(
     closed: tuple[VertexSet, ...],
+    ban: Sequence[VertexSet],
     stuck: list[VertexSet],
     most: list[int],
     full: VertexSet,
     chosen: VertexSet,
+    banned: VertexSet,
     covered: VertexSet,
+    once: VertexSet,
+    twice: VertexSet,
     top: int,
     left: int,
-) -> Iterator[VertexSet]:
-    # Add ``left`` more members, all below index ``top``.  Module-level, not
-    # a closure: a recursive closure is a reference cycle, so its tables would
-    # wait for the cyclic collector after every solver call.
+) -> Iterator[tuple[VertexSet, VertexSet, VertexSet]]:
+    # Add ``left`` more members, all below index ``top`` and outside ``banned``.
+    # Module-level, not a closure: a recursive closure is a reference cycle,
+    # so its tables would wait for the cyclic collector after every solver call.
     if left == 1:
         for v in range(top):
-            if covered | closed[v] == full:
-                yield chosen | 1 << v
+            nv = closed[v]
+            if covered | nv == full and not banned >> v & 1:
+                yield chosen | 1 << v, once & ~nv | nv & ~covered, twice & ~nv | once & nv
         return
     for v in range(left - 1, top):
-        now = covered | closed[v]
+        nv = closed[v]
+        now = covered | nv
         missing = full & ~now
-        if missing & stuck[v] or (left - 1) * most[v] < missing.bit_count():
+        if missing & stuck[v] or (left - 1) * most[v] < missing.bit_count() or banned >> v & 1:
             continue
-        yield from _dominating_below(closed, stuck, most, full, chosen | 1 << v, now, v, left - 1)
+        yield from _dominating_below(
+            closed, ban, stuck, most, full, chosen | 1 << v, banned | ban[v], now,
+            once & ~nv | nv & ~covered, twice & ~nv | once & nv, v, left - 1,
+        )
 
 
 def gamma(g: Graph) -> SolverResult:

@@ -35,31 +35,35 @@ iff the replacements' closed neighbourhoods cover ``lost``.
 re-checks every move with plain ``is_dominating``, which reads only the
 adjacency, so it stays independent of the predicates.
 
-``gamma`` and ``gamma_m1`` are first-hit loops over ``dominating_sets``;
-``solve_jointly`` walks the same sets once for gamma_m2's requested modes.
-Every DISTINCT certificate is also a LITERAL one, so no set before the
-LITERAL witness is DISTINCT-movable: DISTINCT is tested only from that
-set onwards, and its witness is still the first DISTINCT-movable set in
-scan order.
+``gamma`` is the first set of ``dominating_sets``.  ``gamma_m1`` and
+``solve_jointly`` walk ``dominating_sets_with_coverage``, which yields
+each set with its ``once`` and ``twice`` masks, carried along the
+generator's branch, so neither scan rebuilds them.  ``gamma_m1`` is a
+first-hit loop over every dominating set.  ``solve_jointly`` walks, once
+for gamma_m2's requested modes, the same sets in the same order from two
+members up, less those the two rules below rule out.  Every DISTINCT
+certificate is also a LITERAL one, so no set before the LITERAL witness
+is DISTINCT-movable: DISTINCT is tested only from that set onwards, and
+its witness is still the first DISTINCT-movable set in scan order.
 
-The scan skips the 2-movable tests of every set that holds a leaf l and
-its one neighbour s (the leaf rule).  No such set is 2-movable in either
-mode: dropping the pair {l, s} leaves l uncovered, and l has no neighbour
-outside the set to swap to.
+No set that holds a leaf l and its one neighbour s is 2-movable, in
+either mode (the leaf rule): dropping the pair {l, s} leaves l uncovered,
+and l has no neighbour outside the set to swap to.  So l and s ban each
+other in the generator's ban table, and no set holding both is built.
 
 A support with two leaves l1 and l2 is a strong support s (Haynes,
 Hedetniemi and Slater).  (a) No set holding s is 2-movable, in either
 mode: with a leaf it falls to the leaf rule, and without one, dropping s
 with any other member x uncovers l1 and l2.  x's replacement covers
-neither, and no single neighbour of s covers both.  So the scan skips
-every set that holds s too.  (b) No set at all is 2-movable
-in DISTINCT: by (a) s is outside the set, so l1 and l2 are inside, and
-the pair {l1, l2} can only be swapped to (s, s).  So DISTINCT is reported
-absent without a scan.  A skipped set would fail its test anyway, so
-every value, least witness and certificate stays the same.  On all 27,470
-labeled connected graphs of order 4-6 a LITERAL witness exists, and the
-1,875 with no DISTINCT witness are exactly the 1,875 with a strong
-support.
+neither, and no single neighbour of s covers both.  So s bans itself:
+it is never picked, and the generator prunes as if s were absent.  (b) No
+set at all is 2-movable in DISTINCT: by (a) s is outside the set, so l1
+and l2 are inside, and the pair {l1, l2} can only be swapped to (s, s).
+So DISTINCT is reported absent without a scan.  A set left unbuilt would
+fail its test anyway, so every value, least witness and certificate
+stays the same.  On all 27,470 labeled connected graphs of order 4-6 a
+LITERAL witness exists, and the 1,875 with no DISTINCT witness are
+exactly the 1,875 with a strong support.
 
 Whether a pair {x, y} moves depends only on S within N[N[x] | N[y]], so
 the pair that blocked one set often blocks the next (the "last conflict"
@@ -78,7 +82,12 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .domination import SolverResult, check_solver_order, dominating_sets, is_dominating
+from .domination import (
+    SolverResult,
+    check_solver_order,
+    dominating_sets_with_coverage,
+    is_dominating,
+)
 from .graph import Graph, VertexSet, bits, check_vertex_set, vertex_list
 
 
@@ -182,9 +191,16 @@ def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | Mo
     neighbor u of v restores domination when substituted.
     """
     covered, once, _ = _coverage(g, s)
-    closed = g.closed
     if covered != g.full_mask:
         return MovabilityFailure("not-dominating")
+    return _vertex_moves(g, s, once)
+
+
+def _vertex_moves(
+    g: Graph, s: VertexSet, once: VertexSet
+) -> MovabilityCertificate | MovabilityFailure:
+    """Canonical moves for every member of the dominating set s, whose coverage is once."""
+    closed = g.closed
     moves = []
     for v in bits(s):
         lost = once & closed[v]
@@ -270,10 +286,10 @@ def solve_jointly(
     """gamma_m2 in each of the given modes, from one scan of dominating sets.
 
     Each mode's witness is the first set of ``dominating_sets`` with at
-    least two members that is 2-movable in that mode.  The scan skips the
-    sets the module docstring rules out, tests the rest first on recent
-    blocking pairs, stops once every mode has a witness, and reports
-    absence for any mode without one.  A mode that is not a
+    least two members that is 2-movable in that mode.  The scan never
+    builds the sets the module docstring rules out, tests the rest first
+    on recent blocking pairs, stops once every mode has a witness, and
+    reports absence for any mode without one.  A mode that is not a
     ReplacementMode member raises ValueError.
     """
     check_solver_order(g.n)
@@ -285,22 +301,26 @@ def solve_jointly(
     # N[l] = {l, s} of each leaf l; s is a strong support if it has two leaves
     closed = g.closed
     leaves = [l for l, nv in enumerate(closed) if nv.bit_count() == 2]
-    supports = [closed[l] & ~(1 << l) for l in leaves]
+    supports = [(closed[l] & ~(1 << l)).bit_length() - 1 for l in leaves]
     strong = {s for s in supports if supports.count(s) > 1}
     # with a strong support no set is DISTINCT-movable (module docstring)
     if strong and ReplacementMode.DISTINCT in pending:
         pending.remove(ReplacementMode.DISTINCT)
-    # no set holding a leaf and its support, or a strong support, is 2-movable
-    skip = strong.union(closed[l] for l in leaves)
+    # ban[v]: the picks that may not join v.  No set holding a leaf and its
+    # support, or a strong support, is 2-movable, so none is built.
+    ban = [0] * g.n
+    for l, s in zip(leaves, supports):
+        ban[l] |= 1 << s
+        ban[s] |= 1 << l
+    for s in strong:
+        ban[s] |= 1 << s
     recent = []  # the blocking pairs of the last failed full tests, newest first
-    for mask in dominating_sets(g):
-        if pending and mask.bit_count() >= 2 and not any(mask & p == p for p in skip):
-            _, once, twice = _coverage(g, mask)
-            while pending:
-                cert = _scan_test(g, mask, once, twice, pending[0], recent)
-                if not cert:
-                    break
-                found[pending.pop(0)] = SolverResult(mask, certificate=cert)
+    for mask, once, twice in dominating_sets_with_coverage(g, ban, 2):
+        while pending:
+            cert = _scan_test(g, mask, once, twice, pending[0], recent)
+            if not cert:
+                break
+            found[pending.pop(0)] = SolverResult(mask, certificate=cert)
         if not pending:
             break
     return {mode: found.get(mode) or SolverResult(None) for mode in modes}
@@ -310,11 +330,12 @@ def gamma_m1(g: Graph) -> SolverResult:
     """Exact 1-movable domination number, or absence when no set qualifies.
 
     The witness is the first 1-movable set of ``dominating_sets``, as
-    ``gamma``'s is the first set.
+    ``gamma``'s is the first set.  Each set is tested on the coverage
+    masks the generator carries, with no ban.
     """
     check_solver_order(g.n)
-    for mask in dominating_sets(g):
-        cert = is_1movable_dominating(g, mask)
+    for mask, once, _ in dominating_sets_with_coverage(g, (0,) * g.n, 1):
+        cert = _vertex_moves(g, mask, once)
         if cert:
             return SolverResult(mask, certificate=cert)
     return SolverResult(None)

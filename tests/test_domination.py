@@ -159,10 +159,12 @@ class TestGamma:
         below = movdom.domination._dominating_below
         sizes = []
 
-        def spy(closed, stuck, most, full, chosen, covered, top, left):
+        def spy(closed, ban, stuck, most, full, chosen, banned, covered, once, twice, top, left):
             if chosen == 0:
                 sizes.append(left)
-            return below(closed, stuck, most, full, chosen, covered, top, left)
+            return below(
+                closed, ban, stuck, most, full, chosen, banned, covered, once, twice, top, left
+            )
 
         monkeypatch.setattr(movdom.domination, "_dominating_below", spy)
         witness = next(dominating_sets(g))

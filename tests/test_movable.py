@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -544,6 +545,67 @@ class TestStrongSupportRule:
                 absent += size * (not found[DISTINCT].exists)
                 with_strong += size * strong
         assert absent == with_strong == 1875
+
+
+def _tree(n, seed):
+    """A uniform random recursive tree: vertex i hangs from a random earlier vertex."""
+    rng = Random(seed)
+    return from_edge_list(n, [(i, rng.randrange(i)) for i in range(1, n)])
+
+
+class TestBannedStream:
+    """The 2-movable scan reads a stream that never builds a set the two rules rule out."""
+
+    @staticmethod
+    def _read_stream(g):
+        """LITERAL ``gamma_m2(g)``, the ban table and start size its scan passed the
+        stream, and the masks the stream built for it."""
+        calls, built = [], []
+        stream = movdom.movable.dominating_sets_with_coverage
+
+        def recording(g, ban, smallest):
+            calls.append((ban, smallest))
+            for item in stream(g, ban, smallest):
+                built.append(item[0])
+                yield item
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(movdom.movable, "dominating_sets_with_coverage", recording)
+            found = gamma_m2(g, LITERAL)
+        [asked] = calls
+        return found, asked, built
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graphs_with_leaves(9), graphs_with_strong_support(9)))
+    def test_yields_the_kept_sets_with_their_coverage(self, g):
+        pairs, strong = _leaf_pairs(g), _strong_supports(g)
+        kept = [
+            s
+            for s in dominating_sets(g)
+            if s.bit_count() >= 2 and not _holds_leaf_pair(s, pairs) and not s & strong
+        ]
+        _, (ban, smallest), _ = self._read_stream(g)
+        streamed = list(movdom.movable.dominating_sets_with_coverage(g, ban, smallest))
+        assert [mask for mask, _, _ in streamed] == kept
+        for mask, once, twice in streamed:
+            assert (once, twice) == movdom.movable._coverage(g, mask)[1:]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10**6))
+    def test_matches_naive_on_random_trees(self, n, seed):
+        g = _tree(n, seed)
+        found, view = solve_jointly(g, modes=(LITERAL, DISTINCT)), _view(g)
+        for mode in (LITERAL, DISTINCT):
+            value, witness = naive.naive_gamma_m2(view, mode is DISTINCT)
+            assert found[mode].value == value
+            assert found[mode].witness == (None if witness is None else mask_of(*witness))
+
+    def test_sets_built_before_the_witness(self):
+        # dominating_sets builds 647,916 sets of this tree up to the LITERAL
+        # witness; 20 of them hold no leaf with its support and no strong support
+        found, _, built = self._read_stream(_tree(24, 3))
+        assert found.value == 17 and built[-1] == found.witness
+        assert len(built) == 20
 
 
 class TestVerifyCertificate:
