@@ -59,13 +59,18 @@ class Graph:
     The order ``n`` is the adjacency's length, and ``closed`` holds the
     closed neighbourhood N[v] = adj[v] | {v} of each vertex, which the
     solvers and movability predicates read (``closed_neighborhood`` does
-    not).  Both come from ``adj``, so neither takes part in equality,
-    hashing or repr.
+    not).  ``unions`` holds the tables ``closed_neighborhood`` reads:
+    ``unions[c][x]`` is the union of adj[v] over the set bits v of x << 4c.
+    ``closed_neighborhood`` builds them from ``adj`` on first use, so the
+    certificate checker shares no table with the predicates, and ``movdom
+    build`` never builds them.  All three come from ``adj``, so none takes
+    part in equality, hashing or repr.
     """
 
     adj: tuple[VertexSet, ...]
     n: int = field(init=False, repr=False, compare=False)
     closed: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
+    unions: tuple[list[VertexSet], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", len(self.adj))
@@ -185,11 +190,18 @@ def make_family(name: str, *params: int) -> Graph:
 
 
 def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """N[S]: the members of s together with every vertex adjacent to one."""
+    """N[S]: s together with every neighbour of a member, one table lookup per 4 vertices."""
     check_vertex_set(g, s)
+    try:
+        unions = g.unions
+    except AttributeError:  # first use (functools.cached_property would write g.__dict__,
+        # which on CPython 3.11 slows every later attribute read of g)
+        unions = tuple(_union_table(g.adj[i:i + 4]) for i in range(0, g.n, 4))
+        object.__setattr__(g, "unions", unions)
     out = s
-    for v in bits(s):
-        out |= g.adj[v]
+    for table in unions:
+        out |= table[s & 15]
+        s >>= 4
     return out
 
 
@@ -252,7 +264,7 @@ def enumerate_connected_classes(n: int) -> Iterator[tuple[Graph, int]]:
                 yield g, len(orbit)
 
 
-def _union_table(images: list[int]) -> list[int]:
+def _union_table(images: Iterable[int]) -> list[int]:
     """table[x]: the union of images[i] over the set bits i of x."""
     table = [0]
     for image in images:

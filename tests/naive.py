@@ -26,6 +26,12 @@ class AdjacencyView:
         return self._nbrs[v]
 
 
+def closed_neighborhood(g, s) -> set:
+    """The members of ``s`` together with every vertex adjacent to one."""
+    s = set(s)
+    return {v for v in range(g.n) if v in s or any(u in s for u in g.neighbors(v))}
+
+
 def dominates(g, s) -> bool:
     """Every vertex is in ``s`` or adjacent to a member of ``s``."""
     s = set(s)

@@ -21,6 +21,7 @@ from movdom import (
     format_edge_list,
     from_edge_list,
     is_connected,
+    is_dominating,
     make_family,
     mask_of,
     path,
@@ -152,6 +153,49 @@ class TestNeighborhoods:
     @given(graphs())
     def test_full_set_is_fixed_point(self, g):
         assert closed_neighborhood(g, g.full_mask) == g.full_mask
+
+
+@st.composite
+def _sparse_graphs(draw, max_n: int = 30) -> Graph:
+    """Graphs of order 1-max_n with at most 2n edges, so many are disconnected."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return from_edge_list(n, [(u, v) for u, v in pairs if u != v])
+
+
+# orders 1-30: partial last 4-vertex chunks, and orders past the solvers' cap of 24
+_UP_TO_30 = st.one_of(graphs(1, 30), _sparse_graphs())
+
+
+class TestUnionTables:
+    """``closed_neighborhood`` reads per-graph tables, one per 4 vertices."""
+
+    @given(_UP_TO_30, st.data())
+    def test_predicates_agree_with_naive(self, g, data):
+        s = data.draw(st.integers(0, g.full_mask))
+        view = naive.AdjacencyView(g.n, g.edges())
+        members = vertex_list(s)
+        expected = sorted(naive.closed_neighborhood(view, members))
+        assert vertex_list(closed_neighborhood(g, s)) == expected
+        assert is_dominating(g, s) == naive.dominates(view, members)
+        assert is_connected(g) == naive.connected(view)
+
+    @given(_UP_TO_30, st.data())
+    def test_masks_out_of_range_rejected(self, g, data):
+        s = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=g.full_mask + 1)))
+        for predicate in (closed_neighborhood, is_dominating):
+            with pytest.raises(ValueError, match="out of range"):
+                predicate(g, s)
+
+    @given(_UP_TO_30)
+    def test_tables_are_built_on_first_use_and_leave_equality_alone(self, g):
+        twin = Graph(g.adj)
+        before = hash(twin)
+        assert "unions" not in vars(twin)
+        closed_neighborhood(twin, 0)
+        assert "unions" in vars(twin)
+        assert twin == g and hash(twin) == before == hash(g) and repr(twin) == repr(g)
 
 
 class TestConnectivity:

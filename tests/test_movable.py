@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import ceil
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import movdom.movable
 import naive
 from movdom import (
+    Graph,
     MalformedCertificateError,
     MovabilityCertificate,
     MovabilityFailure,
@@ -265,6 +267,19 @@ class TestSolvers:
                 m2 = gamma_m2(g, mode)
                 if m2.exists:
                     assert verify_certificate(g, m2.witness, m2.certificate, mode)
+
+
+# Conjectured closed forms, checked here against the solvers (never against stored output):
+# gamma_m1 = ceil(2n/5) from n = 4; gamma_m2 = ceil(3n/7) in both modes from P6 and C7,
+# and 2 on P5, C5 and C6.
+@pytest.mark.parametrize("make, first_m2", [(path, 6), (cycle, 7)], ids=["path", "cycle"])
+def test_paths_and_cycles_follow_the_closed_forms(make, first_m2):
+    for n in range(4, 25):
+        g = make(n)
+        assert gamma_m1(g).value == ceil(2 * n / 5), n
+        if n >= 5:
+            expected = ceil(3 * n / 7) if n >= first_m2 else 2
+            assert [gamma_m2(g, mode).value for mode in (LITERAL, DISTINCT)] == [expected] * 2, n
 
 
 def _loop_gamma_m1(g):
@@ -751,6 +766,28 @@ class TestVerifyCertificate:
         assert result.certificate.moves == (Move((0, 3), (1, 4)),)
         forged = MovabilityCertificate(2, (Move((0, 3), (4, 1)),))
         assert not verify_certificate(g, result.witness, forged)
+
+    @settings(max_examples=200)
+    @given(graphs_with_subset(1, 10))
+    def test_verdicts_ignore_a_wrong_closed_table(self, case):
+        # were the checker to read it, an emptied table would fail every predicate
+        # certificate, and a full one pass every all-drop certificate that leaves a member
+        g, s = case
+        members = vertex_list(s)
+        checks = []
+        if s:  # the predicates reject the empty set
+            checks += [(is_1movable_dominating(g, s), LITERAL)]
+            checks += [(is_2movable_dominating(g, s, mode), mode) for mode in (LITERAL, DISTINCT)]
+            checks = [(cert, mode) for cert, mode in checks if cert]
+        for level in (1, 2):
+            drops = tuple(Move(m) for m in combinations(members, level))
+            checks += [(MovabilityCertificate(level, drops), mode) for mode in (LITERAL, DISTINCT)]
+        for wrong in ((0,) * g.n, (g.full_mask,) * g.n):
+            broken = Graph(g.adj)
+            object.__setattr__(broken, "closed", wrong)
+            for cert, mode in checks:
+                verdict = verify_certificate(g, s, cert, mode)
+                assert verify_certificate(broken, s, cert, mode) == verdict
 
     def test_failure_object_is_falsy(self):
         assert not MovabilityFailure("not-dominating")
