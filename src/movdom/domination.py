@@ -111,7 +111,9 @@ def dominating_sets_with_coverage(
     they would outlive the search.
     """
     n, full, closed = g.n, g.full_mask, g.closed
-    excluded = mask_of(*(v for v in range(n) if ban[v] >> v & 1))
+    excluded = 0  # the vertices that ban themselves
+    for v, b in enumerate(ban):
+        excluded |= b & 1 << v
     # stuck[t]: vertices whose pickable closed neighbours all lie at or above t.
     # most[t]: the largest closed-neighbourhood size among pickable vertices
     # below t, so most[n] is at most 1 + the maximum degree.

@@ -59,31 +59,38 @@ class Graph:
     The order ``n`` is the adjacency's length, and ``closed`` holds the
     closed neighbourhood N[v] = adj[v] | {v} of each vertex, which the
     solvers and movability predicates read (``closed_neighborhood`` does
-    not).  ``unions`` holds the tables ``closed_neighborhood`` reads:
-    ``unions[c][x]`` is the union of adj[v] over the set bits v of x << 4c.
-    ``closed_neighborhood`` builds them from ``adj`` on first use, so the
-    certificate checker shares no table with the predicates, and ``movdom
-    build`` never builds them.  All three come from ``adj``, so none takes
-    part in equality, hashing or repr.
+    not).  ``nbrs[v]`` is the ascending tuple of v's neighbours, built by
+    the validation loop; the movability predicates walk it for swap
+    candidates, and ``edges`` reads it.  ``unions`` holds the tables
+    ``closed_neighborhood`` reads: ``unions[c][x]`` is the union of adj[v]
+    over the set bits v of x << 4c.  ``closed_neighborhood`` builds them
+    from ``adj`` on first use, so the certificate checker shares no table
+    with the predicates, and ``movdom build`` never builds them.  All four
+    come from ``adj``, so none takes part in equality, hashing or repr.
     """
 
     adj: tuple[VertexSet, ...]
     n: int = field(init=False, repr=False, compare=False)
     closed: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
+    nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     unions: tuple[list[VertexSet], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", len(self.adj))
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
-        for v, nbrs in enumerate(self.adj):
-            if nbrs >> self.n or nbrs < 0:
+        nbrs = []
+        for v, mask in enumerate(self.adj):
+            if mask >> self.n or mask < 0:
                 raise ValueError(f"vertex {v} has a neighbor index out of range")
-            if nbrs >> v & 1:
+            if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in bits(nbrs):
+            row = tuple(bits(mask))
+            for u in row:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+            nbrs.append(row)
+        object.__setattr__(self, "nbrs", tuple(nbrs))
         object.__setattr__(self, "closed", tuple(m | 1 << v for v, m in enumerate(self.adj)))
 
     @property
@@ -92,7 +99,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+        return [(u, v) for u, row in enumerate(self.nbrs) for v in row if u < v]
 
     @property
     def edge_count(self) -> int:

@@ -30,10 +30,12 @@ Slater, *Fundamentals of Domination in Graphs*, 1998), so dropping v
 uncovers exactly ``lost = once & N[v]``, and dropping the pair {x, y}
 uncovers ``lost = once & (N[x] | N[y]) | twice & N[x] & N[y]``.  The
 drop works iff ``lost`` is empty; the swap to u (or to u and v) works
-iff the replacements' closed neighbourhoods cover ``lost``.
-``verify_certificate`` uses neither these masks nor ``closed``: it
-re-checks every move with plain ``is_dominating``, which reads only the
-adjacency, so it stays independent of the predicates.
+iff the replacements' closed neighbourhoods cover ``lost``.  The swap
+candidates come from the graph's ``nbrs`` tuples, members skipped, so
+they are tried in ascending order without a generator per member.
+``verify_certificate`` uses neither these masks nor ``closed`` nor
+``nbrs``: it re-checks every move with plain ``is_dominating``, which
+reads only the adjacency, so it stays independent of the predicates.
 
 ``gamma`` is the first set of ``dominating_sets``.  ``gamma_m1`` and
 ``solve_jointly`` walk ``dominating_sets_with_coverage``, which yields
@@ -200,14 +202,15 @@ def _vertex_moves(
     g: Graph, s: VertexSet, once: VertexSet
 ) -> MovabilityCertificate | MovabilityFailure:
     """Canonical moves for every member of the dominating set s, whose coverage is once."""
-    closed = g.closed
+    closed, nbrs = g.closed, g.nbrs
     moves = []
     for v in bits(s):
         lost = once & closed[v]
         if not lost:
             moves.append(Move((v,)))
             continue
-        for u in bits(g.adj[v] & ~s):
+        # a member u covers none of v's private neighbours, so only outside ones pass
+        for u in nbrs[v]:
             if not lost & ~closed[u]:
                 moves.append(Move((v,), (u,)))
                 break
@@ -241,7 +244,7 @@ def _pair_moves(
     g: Graph, s: VertexSet, once: VertexSet, twice: VertexSet, distinct: bool, pairs
 ) -> MovabilityCertificate | MovabilityFailure:
     """Canonical moves for ``pairs`` of the dominating set s, whose coverage is once and twice."""
-    closed = g.closed
+    closed, nbrs = g.closed, g.nbrs
     moves = []
     for x, y in pairs:
         nx, ny = closed[x], closed[y]
@@ -249,12 +252,13 @@ def _pair_moves(
         if not lost:
             moves.append(Move((x, y)))
             continue
-        # the first (u, v) whose closed neighbourhoods cover what the pair loses
-        outside_y = g.adj[y] & ~s
-        for u in bits(g.adj[x] & ~s):
+        # the first (u, v) outside s whose closed neighbourhoods cover what the pair loses
+        for u in nbrs[x]:
+            if s >> u & 1:
+                continue
             left = lost & ~closed[u]
-            for v in bits(outside_y):
-                if not left & ~closed[v] and not (distinct and u == v):
+            for v in nbrs[y]:
+                if not left & ~closed[v] and not s >> v & 1 and not (distinct and u == v):
                     break
             else:
                 continue

@@ -24,6 +24,17 @@ def graphs_with_subset(draw, min_n: int = 1, max_n: int = 6):
 
 
 @st.composite
+def sparse_graphs_with_subset(draw, min_n: int, max_n: int):
+    """A connected graph, a spanning tree (each vertex but 0 gets a lower neighbour) plus
+    up to 3n more edges, and a nonempty vertex-set mask over it."""
+    n = draw(st.integers(min_n, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=3 * n))
+    g = from_edge_list(n, tree + extra)
+    return g, draw(st.integers(1, g.full_mask))
+
+
+@st.composite
 def graphs_with_leaves(draw, max_n: int = 9) -> Graph:
     """An arbitrary graph with at least one pendant vertex attached, max_n vertices in all."""
     base = draw(graphs(1, max_n - 1))

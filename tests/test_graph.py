@@ -93,6 +93,18 @@ class TestConstruction:
         assert rebuilt == g and hash(rebuilt) == hash(g)
         assert repr(g) == f"Graph(n={g.n}, edges={g.edges()})"
 
+    @given(graphs())
+    def test_neighbour_tuples_built_with_the_graph(self, g):
+        assert "nbrs" in vars(Graph(g.adj))
+        assert g.nbrs == tuple(tuple(bits(g.adj[v])) for v in range(g.n))
+
+    @given(graphs())
+    def test_nbrs_is_not_part_of_the_value(self, g):
+        rebuilt = Graph(g.adj)
+        object.__setattr__(rebuilt, "nbrs", ((),) * g.n)
+        assert rebuilt == g and hash(rebuilt) == hash(g)
+        assert "nbrs" not in repr(g)
+
 
 class TestFamilies:
     def test_complete_4(self):

@@ -38,7 +38,13 @@ from movdom import (
 )
 from movdom.domination import greedy_repair
 from movdom.graph import enumerate_connected_graphs
-from strategies import graphs, graphs_with_leaves, graphs_with_strong_support, graphs_with_subset
+from strategies import (
+    graphs,
+    graphs_with_leaves,
+    graphs_with_strong_support,
+    graphs_with_subset,
+    sparse_graphs_with_subset,
+)
 
 LITERAL = ReplacementMode.LITERAL
 DISTINCT = ReplacementMode.DISTINCT
@@ -770,8 +776,8 @@ class TestVerifyCertificate:
     @settings(max_examples=200)
     @given(graphs_with_subset(1, 10))
     def test_verdicts_ignore_a_wrong_closed_table(self, case):
-        # were the checker to read it, an emptied table would fail every predicate
-        # certificate, and a full one pass every all-drop certificate that leaves a member
+        # were the checker to read them, emptied tables would fail every predicate
+        # certificate, and full ones pass every all-drop certificate that leaves a member
         g, s = case
         members = vertex_list(s)
         checks = []
@@ -782,9 +788,12 @@ class TestVerifyCertificate:
         for level in (1, 2):
             drops = tuple(Move(m) for m in combinations(members, level))
             checks += [(MovabilityCertificate(level, drops), mode) for mode in (LITERAL, DISTINCT)]
-        for wrong in ((0,) * g.n, (g.full_mask,) * g.n):
+        everyone = tuple(range(g.n))
+        for wrong_closed, wrong_nbrs in (((0,) * g.n, ((),) * g.n),
+                                         ((g.full_mask,) * g.n, (everyone,) * g.n)):
             broken = Graph(g.adj)
-            object.__setattr__(broken, "closed", wrong)
+            object.__setattr__(broken, "closed", wrong_closed)
+            object.__setattr__(broken, "nbrs", wrong_nbrs)
             for cert, mode in checks:
                 verdict = verify_certificate(g, s, cert, mode)
                 assert verify_certificate(broken, s, cert, mode) == verdict
@@ -836,6 +845,18 @@ class TestExactCertificates:
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_subset(1, 9), st.booleans())
     def test_matches_brute_force(self, level, mode, case, repair):
+        self._assert_matches_brute_force(level, mode, case, repair)
+
+    # longer neighbour tuples, and masks of more than one 4-bit chunk; connected, as
+    # graphs() draws at these orders rarely needed a swap (1 certificate in 200 had one)
+    @pytest.mark.parametrize("level, mode", [(1, LITERAL), (2, LITERAL), (2, DISTINCT)])
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_graphs_with_subset(10, 16), st.booleans())
+    def test_matches_brute_force_at_orders_10_to_16(self, level, mode, case, repair):
+        self._assert_matches_brute_force(level, mode, case, repair)
+
+    @staticmethod
+    def _assert_matches_brute_force(level, mode, case, repair):
         # repairing half the draws keeps most of them dominating
         g, s = case
         if repair:
