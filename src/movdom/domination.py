@@ -83,9 +83,9 @@ def dominating_sets(g: Graph) -> Iterator[VertexSet]:
     Sets come by ascending cardinality and, within one, by ascending
     bitmask: the same order as filtering ``ascending_k_subsets``.  This is
     ``dominating_sets_with_coverage`` with no bans, less the masks it
-    carries, which gamma_m1 reads.  gamma_m2's scan bans each leaf with
-    its support and each strong support, so it never builds a set that no
-    2-movable test could pass (proved in the ``movable`` module docstring).
+    carries, which gamma_m1 reads; so it too raises ValueError above the
+    order cap.  gamma_m2's scan bans the pairs and vertices that no
+    2-movable set holds (proved in the ``movable`` module docstring).
     """
     return map(itemgetter(0), dominating_sets_with_coverage(g, (0,) * g.n, 1))
 
@@ -108,8 +108,10 @@ def dominating_sets_with_coverage(
     pick, or when the picks left, each covering at most the largest closed
     degree below the last pick, cannot cover what is left.  The ``stuck``
     and ``most`` tables live only for this call: kept on every ``Graph``
-    they would outlive the search.
+    they would outlive the search.  Every exact solver scans this, so it
+    owns their cap: above ``SOLVER_MAX_ORDER`` the first draw raises ValueError.
     """
+    check_solver_order(g.n)
     n, full, closed = g.n, g.full_mask, g.closed
     excluded = 0  # the vertices that ban themselves
     for v, b in enumerate(ban):
@@ -167,7 +169,6 @@ def _dominating_below(
 
 def gamma(g: Graph) -> SolverResult:
     """Exact domination number with the lex-least optimal witness."""
-    check_solver_order(g.n)
     return SolverResult(next(dominating_sets(g)))
 
 

@@ -245,7 +245,7 @@ def verify_theorem_3_6(g_pool, h_pool) -> ClaimReport:
     """Corona products: the 2-movable number equals |V(G)| times gamma(H).
 
     Pairs are filtered to connected factors with corona order between 4
-    and the documented solver budget.
+    and ``CORONA_ORDER_CAP``, this pool's own cap (16, not the solvers' 24).
     """
     pairs = _admissible_corona_pairs(g_pool, h_pool, CORONA_ORDER_CAP)
     pool = f"{len(pairs)} ordered pairs, connected factors, 4 <= corona order <= {CORONA_ORDER_CAP}"

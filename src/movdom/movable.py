@@ -61,11 +61,11 @@ neither, and no single neighbour of s covers both.  So s bans itself:
 it is never picked, and the generator prunes as if s were absent.  (b) No
 set at all is 2-movable in DISTINCT: by (a) s is outside the set, so l1
 and l2 are inside, and the pair {l1, l2} can only be swapped to (s, s).
-So DISTINCT is reported absent without a scan.  A set left unbuilt would
-fail its test anyway, so every value, least witness and certificate
-stays the same.  On all 27,470 labeled connected graphs of order 4-6 a
-LITERAL witness exists, and the 1,875 with no DISTINCT witness are
-exactly the 1,875 with a strong support.
+So DISTINCT is reported absent without testing any set.  A set left
+unbuilt would fail its test anyway, so every value, least witness and
+certificate stays the same.  On all 27,470 labeled connected graphs of
+order 4-6 a LITERAL witness exists, and the 1,875 with no DISTINCT
+witness are exactly the 1,875 with a strong support.
 
 Whether a pair {x, y} moves depends only on S within N[N[x] | N[y]], so
 the pair that blocked one set often blocks the next (the "last conflict"
@@ -84,12 +84,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .domination import (
-    SolverResult,
-    check_solver_order,
-    dominating_sets_with_coverage,
-    is_dominating,
-)
+from .domination import SolverResult, dominating_sets_with_coverage, is_dominating
 from .graph import Graph, VertexSet, bits, check_vertex_set, vertex_list
 
 
@@ -293,31 +288,29 @@ def solve_jointly(
     least two members that is 2-movable in that mode.  The scan never
     builds the sets the module docstring rules out, tests the rest first
     on recent blocking pairs, stops once every mode has a witness, and
-    reports absence for any mode without one.  A mode that is not a
-    ReplacementMode member raises ValueError.
+    reports absence for any mode without one.  One pass over ``g.nbrs``
+    builds the ban table: a leaf bans its one neighbour both ways, and a
+    support that gains a second leaf bans itself, so DISTINCT is never
+    tested.  A mode that is not a ReplacementMode member raises ValueError.
     """
-    check_solver_order(g.n)
     for mode in modes:
         _check_mode(mode)
-    # the modes still without a witness, LITERAL first; only the head is tested
-    pending = [m for m in _MODES if m in modes]
-    found = {}
-    # N[l] = {l, s} of each leaf l; s is a strong support if it has two leaves
-    closed = g.closed
-    leaves = [l for l, nv in enumerate(closed) if nv.bit_count() == 2]
-    supports = [(closed[l] & ~(1 << l)).bit_length() - 1 for l in leaves]
-    strong = {s for s in supports if supports.count(s) > 1}
-    # with a strong support no set is DISTINCT-movable (module docstring)
-    if strong and ReplacementMode.DISTINCT in pending:
-        pending.remove(ReplacementMode.DISTINCT)
     # ban[v]: the picks that may not join v.  No set holding a leaf and its
     # support, or a strong support, is 2-movable, so none is built.
     ban = [0] * g.n
-    for l, s in zip(leaves, supports):
-        ban[l] |= 1 << s
-        ban[s] |= 1 << l
-    for s in strong:
-        ban[s] |= 1 << s
+    strong = False
+    for leaf, nl in enumerate(g.nbrs):
+        if len(nl) == 1:
+            s = nl[0]
+            if ban[s] & ~(1 << leaf):  # s gains a second leaf (in K2, ban[s] is only this leaf)
+                ban[s] |= 1 << s
+                strong = True
+            ban[s] |= 1 << leaf
+            ban[leaf] |= 1 << s
+    # the modes still without a witness, LITERAL first; only the head is tested.
+    # With a strong support no set is DISTINCT-movable (module docstring).
+    pending = [m for m in _MODES if m in modes and not (strong and m is ReplacementMode.DISTINCT)]
+    found = {}
     recent = []  # the blocking pairs of the last failed full tests, newest first
     for mask, once, twice in dominating_sets_with_coverage(g, ban, 2):
         while pending:
@@ -337,7 +330,6 @@ def gamma_m1(g: Graph) -> SolverResult:
     ``gamma``'s is the first set.  Each set is tested on the coverage
     masks the generator carries, with no ban.
     """
-    check_solver_order(g.n)
     for mask, once, _ in dominating_sets_with_coverage(g, (0,) * g.n, 1):
         cert = _vertex_moves(g, mask, once)
         if cert:

@@ -7,15 +7,19 @@ from hypothesis import given, settings
 import movdom.domination
 import naive
 from movdom import (
+    ReplacementMode,
     SolverResult,
     complete,
     cycle,
     dominating_sets,
     gamma,
+    gamma_m1,
+    gamma_m2,
     is_dominating,
     mask_of,
     path,
     random_connected_graph,
+    solve_jointly,
     star,
     vertex_list,
 )
@@ -27,6 +31,9 @@ from movdom.domination import (
 )
 from movdom.graph import enumerate_connected_graphs
 from strategies import graphs, graphs_with_subset
+
+LITERAL = ReplacementMode.LITERAL
+DISTINCT = ReplacementMode.DISTINCT
 
 
 def _view(g):
@@ -132,9 +139,25 @@ class TestGamma:
             assert result.value == value
             assert vertex_list(result.witness) == list(witness)
 
-    def test_order_cap(self):
+    @pytest.mark.parametrize(
+        "solve, g",
+        [
+            pytest.param(lambda g: next(dominating_sets(g)), path(25), id="dominating_sets"),
+            pytest.param(gamma, path(25), id="gamma"),
+            pytest.param(gamma_m1, path(25), id="gamma_m1"),
+            pytest.param(lambda g: gamma_m2(g, LITERAL), path(25), id="gamma_m2-literal"),
+            pytest.param(lambda g: gamma_m2(g, DISTINCT), path(25), id="gamma_m2-distinct"),
+            # star(25) has a strong support, so no DISTINCT set is ever tested:
+            # the scan must still start, and raise rather than report absence
+            pytest.param(
+                lambda g: solve_jointly(g, modes=(DISTINCT,)), star(25), id="solve_jointly-distinct"
+            ),
+        ],
+    )
+    def test_order_cap(self, solve, g):
+        # every exact entry scans the one generator, which owns the cap
         with pytest.raises(ValueError, match="capped"):
-            gamma(path(25))
+            solve(g)
 
     @given(graphs())
     def test_greedy_never_beats_exact(self, g):

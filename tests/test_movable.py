@@ -596,20 +596,38 @@ class TestBannedStream:
         [asked] = calls
         return found, asked, built
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.one_of(graphs_with_leaves(9), graphs_with_strong_support(9)))
-    def test_yields_the_kept_sets_with_their_coverage(self, g):
+    def _assert_streams_the_kept_sets(self, g):
+        """The scan's ban table is the two rules' and its stream is the kept sets."""
         pairs, strong = _leaf_pairs(g), _strong_supports(g)
+        expected = [0] * g.n
+        for pair in pairs:
+            for v in vertex_list(pair):
+                expected[v] |= pair & ~(1 << v)
+        for v in vertex_list(strong):
+            expected[v] |= 1 << v
         kept = [
             s
             for s in dominating_sets(g)
             if s.bit_count() >= 2 and not _holds_leaf_pair(s, pairs) and not s & strong
         ]
         _, (ban, smallest), _ = self._read_stream(g)
+        assert (list(ban), smallest) == (expected, 2)
         streamed = list(movdom.movable.dominating_sets_with_coverage(g, ban, smallest))
         assert [mask for mask, _, _ in streamed] == kept
         for mask, once, twice in streamed:
             assert (once, twice) == movdom.movable._coverage(g, mask)[1:]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graphs_with_leaves(9), graphs_with_strong_support(9)))
+    def test_yields_the_kept_sets_with_their_coverage(self, g):
+        self._assert_streams_the_kept_sets(g)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_yields_the_kept_sets_on_every_small_class(self, n):
+        # every shape up to order 6: K2, where each leaf is the other's
+        # support, the stars, and every tree and graph with leaves or none
+        for g, _ in enumerate_connected_classes(n):
+            self._assert_streams_the_kept_sets(g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10**6))
