@@ -63,9 +63,8 @@ class Graph:
     the validation loop; the movability predicates walk it for swap
     candidates, and ``edges`` reads it.  ``unions`` holds the tables
     ``closed_neighborhood`` reads: ``unions[c][x]`` is the union of adj[v]
-    over the set bits v of x << 4c.  ``closed_neighborhood`` builds them
-    from ``adj`` on first use, so the certificate checker shares no table
-    with the predicates, and ``movdom build`` never builds them.  All four
+    over the set bits v of x << 4c, built from ``adj``, not ``closed``, so
+    the certificate checker shares no table with the predicates.  All four
     come from ``adj``, so none takes part in equality, hashing or repr.
     """
 
@@ -92,6 +91,8 @@ class Graph:
             nbrs.append(row)
         object.__setattr__(self, "nbrs", tuple(nbrs))
         object.__setattr__(self, "closed", tuple(m | 1 << v for v, m in enumerate(self.adj)))
+        unions = tuple(_union_table(self.adj[i:i + 4]) for i in range(0, self.n, 4))
+        object.__setattr__(self, "unions", unions)
 
     @property
     def full_mask(self) -> VertexSet:
@@ -199,14 +200,8 @@ def make_family(name: str, *params: int) -> Graph:
 def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     """N[S]: s together with every neighbour of a member, one table lookup per 4 vertices."""
     check_vertex_set(g, s)
-    try:
-        unions = g.unions
-    except AttributeError:  # first use (functools.cached_property would write g.__dict__,
-        # which on CPython 3.11 slows every later attribute read of g)
-        unions = tuple(_union_table(g.adj[i:i + 4]) for i in range(0, g.n, 4))
-        object.__setattr__(g, "unions", unions)
     out = s
-    for table in unions:
+    for table in g.unions:
         out |= table[s & 15]
         s >>= 4
     return out

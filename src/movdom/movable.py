@@ -359,15 +359,17 @@ def verify_certificate(
     move's members, or its replacement, do not number exactly ``level``,
     when the moves do not cover exactly the required members (level 1) or
     distinct pairs (level 2), or when a move holds a value of the wrong
-    type (a str or float vertex, a bare int replacement) that the checks
-    cannot compare or shift.  Returns False when the shape is right but s
-    does not dominate, s has fewer members than the level (so a level-2
-    certificate needs a pair), or some move does not hold: a drop that
-    breaks domination, a replacement inside s or outside 0..n-1, a
-    replacement not adjacent to its own member, coinciding replacements in
-    DISTINCT mode, or a swap that breaks domination.  Only the adjacency
-    and plain is_dominating are used, never the solver's predicates.  A
-    mode that is not a ReplacementMode member raises ValueError.
+    type that the checks cannot compare or shift: a str vertex, a float
+    member, a bare int replacement, or a float replacement inside 0..n-1.
+    Returns False when the shape is right but s does not dominate, s has
+    fewer members than the level (so a level-2 certificate needs a pair),
+    or some move does not hold: a drop that breaks domination, a
+    replacement inside s or outside 0..n-1 (a float one too, as the range
+    check comes before any shift), a replacement not adjacent to its own
+    member, coinciding replacements in DISTINCT mode, or a swap that breaks
+    domination.  Only the adjacency and plain is_dominating are used, never
+    the solver's predicates.  A mode that is not a ReplacementMode member
+    raises ValueError.
     """
     _check_mode(mode)
     check_vertex_set(g, s)

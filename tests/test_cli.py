@@ -230,13 +230,14 @@ class TestBuild:
         assert out_file.exists()
 
     def test_build_accepts_orders_above_solver_cap(self, capsys, tmp_path):
-        target = tmp_path / "p30.edges"
-        target.write_text(format_edge_list(path(30)), encoding="ascii")
+        # the factors are held to the cap, the product is not
+        target = tmp_path / "p20.edges"
+        target.write_text(format_edge_list(path(20)), encoding="ascii")
         code, out, _ = run_cli(
             [
                 "build", "join",
                 "--left", str(target),
-                "--right", "family:path:2",
+                "--right", "family:path:12",
                 "--output", str(tmp_path / "j.edges"),
                 "--json",
             ],
@@ -244,6 +245,27 @@ class TestBuild:
         )
         assert code == 0
         assert json.loads(out)["n"] == 32
+
+    @pytest.mark.parametrize("side", ["--left", "--right"])
+    @pytest.mark.parametrize("spec", ["p25", "family:path:25", "family:complete:100000"])
+    def test_factor_above_solver_cap_refused_before_building(self, spec, side, capsys, tmp_path):
+        if spec == "p25":
+            spec = str(tmp_path / "p25.edges")
+            (tmp_path / "p25.edges").write_text(format_edge_list(path(25)), encoding="ascii")
+        before = sorted(tmp_path.iterdir())
+        argv = ["build", "join", "--left", "family:path:2", "--right", "family:path:2"]
+        argv[argv.index(side) + 1] = spec
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli([*argv, "--output", str(tmp_path / "j.edges")], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "capped at 24" in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert peak < 5_000_000  # building K100000 would never finish
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -266,8 +288,8 @@ class TestBuild:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    # The first header overflows a list index, the second (2**62) asks for more
-    # memory than can exist; both fail before anything is allocated.
+    # Unchecked, the first header would overflow a list index and the second
+    # (2**62) ask for more memory than can exist; the cap refuses both first.
     @pytest.mark.parametrize("header", ["99999999999999999999", "4611686018427387904"])
     def test_huge_header_is_one_error_line(self, header, capsys, tmp_path):
         target = tmp_path / "huge.edges"

@@ -73,6 +73,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least 1"):
             Graph(())
 
+    @pytest.mark.parametrize("adj", [(0b10,), (-1,)], ids=["past-n", "negative"])
+    def test_neighbour_out_of_range_rejected(self, adj):
+        with pytest.raises(ValueError, match="vertex 0 has a neighbor index out of range"):
+            Graph(adj)
+
     @given(graphs())
     def test_invariants_hold_on_every_construction(self, g):
         for v in range(g.n):
@@ -120,6 +125,20 @@ class TestFamilies:
     def test_cycle_below_minimum(self):
         with pytest.raises(ValueError, match="at least 3"):
             make_family("cycle", 2)
+
+    @pytest.mark.parametrize(
+        "build, params, message",
+        [
+            (path, (0,), "path requires at least 1 vertex"),
+            (complete, (0,), "complete graph requires at least 1 vertex"),
+            (star, (1,), "star requires at least 2 vertices"),
+            (complete_bipartite, (0, 2), "both parts nonempty"),
+        ],
+        ids=["path", "complete", "star", "complete-bipartite"],
+    )
+    def test_family_below_minimum(self, build, params, message):
+        with pytest.raises(ValueError, match=message):
+            build(*params)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown graph family"):
@@ -201,13 +220,15 @@ class TestUnionTables:
                 predicate(g, s)
 
     @given(_UP_TO_30)
-    def test_tables_are_built_on_first_use_and_leave_equality_alone(self, g):
+    def test_tables_are_built_with_the_graph_and_leave_equality_alone(self, g):
         twin = Graph(g.adj)
-        before = hash(twin)
-        assert "unions" not in vars(twin)
-        closed_neighborhood(twin, 0)
-        assert "unions" in vars(twin)
-        assert twin == g and hash(twin) == before == hash(g) and repr(twin) == repr(g)
+        assert "unions" in vars(twin) and len(twin.unions) == -(-g.n // 4)
+        for c, table in enumerate(twin.unions):
+            for x, union in enumerate(table):
+                members = vertex_list(x << 4 * c)
+                assert union == mask_of(*(u for v in members for u in bits(g.adj[v])))
+        object.__setattr__(twin, "unions", ())
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
 
 
 class TestConnectivity:

@@ -221,6 +221,13 @@ class TestLemma35:
             # the reader that stops last stops at its k-th hit
             assert count == max(kth) + 1 < draw_cap
 
+    def test_no_clause_holds_without_a_swap_outside_the_set(self):
+        # corona(K2, K1): center 0's copy is vertex 2, and T = {0, 1, 2} leaves
+        # neither 0 nor 2 a neighbour outside T to swap in
+        product, layout = corona(complete(2), complete(1))
+        t_a = mask_of(0, 1, 2) & layout.unit_mask(0)
+        assert movdom.harness._lemma_3_5_clause(product, layout, 0, t_a, 2) is None
+
     def test_clause_tally_totals_match_checks(self):
         report = verify_lemma_3_5([path(3)], [complete(2)], samples_per_corona=20, seed=4)
         tally = report.clause_tally

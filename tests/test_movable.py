@@ -725,6 +725,22 @@ class TestVerifyCertificate:
         with pytest.raises(MalformedCertificateError, match="wrong type"):
             verify_certificate(path(4), mask_of(1, 2), cert)
 
+    def test_float_replacement_judged_by_value(self):
+        # the range check runs before any shift, so only an in-range float reaches one
+        def with_replacement(u):
+            return MovabilityCertificate(1, (Move((1,), (u,)), Move((2,), (3,))))
+
+        s = mask_of(1, 2)
+        with pytest.raises(MalformedCertificateError, match="wrong type"):
+            verify_certificate(path(4), s, with_replacement(0.0))
+        assert verify_certificate(path(4), s, with_replacement(-1.0)) is False
+        assert verify_certificate(path(4), s, with_replacement(4.0)) is False
+
+    def test_unknown_level_is_malformed(self):
+        cert = MovabilityCertificate(3, (Move((1, 2, 3), None),))
+        with pytest.raises(MalformedCertificateError, match="unknown certificate level 3"):
+            verify_certificate(path(4), mask_of(1, 2, 3), cert)
+
     def test_literal_cert_can_fail_distinct_check(self):
         s = mask_of(1, 2, 3)
         cert = is_2movable_dominating(star(4), s, LITERAL)
