@@ -58,7 +58,6 @@ from .movable import (
     gamma_m2,
     is_1movable_dominating,
     is_2movable_dominating,
-    solve_jointly,
     verify_certificate,
 )
 from .products import (

@@ -12,7 +12,7 @@ reaches a caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from random import Random
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -83,9 +83,9 @@ def dominating_sets(g: Graph) -> Iterator[VertexSet]:
     Sets come by ascending cardinality and, within one, by ascending
     bitmask: the same order as filtering ``ascending_k_subsets``.  This is
     ``dominating_sets_with_coverage`` with no bans, less the masks it
-    carries, which gamma_m1 reads; so it too raises ValueError above the
-    order cap.  gamma_m2's scan bans the pairs and vertices that no
-    2-movable set holds (proved in the ``movable`` module docstring).
+    carries, which gamma_m1 reads; so it too raises ValueError, at the
+    call, above the order cap.  gamma_m2's scan bans the pairs and vertices
+    that no 2-movable set holds (proved in the ``movable`` module docstring).
     """
     return map(itemgetter(0), dominating_sets_with_coverage(g, (0,) * g.n, 1))
 
@@ -109,7 +109,8 @@ def dominating_sets_with_coverage(
     degree below the last pick, cannot cover what is left.  The ``stuck``
     and ``most`` tables live only for this call: kept on every ``Graph``
     they would outlive the search.  Every exact solver scans this, so it
-    owns their cap: above ``SOLVER_MAX_ORDER`` the first draw raises ValueError.
+    owns their cap: above ``SOLVER_MAX_ORDER`` the call itself raises
+    ValueError, before any set is drawn.
     """
     check_solver_order(g.n)
     n, full, closed = g.n, g.full_mask, g.closed
@@ -128,8 +129,10 @@ def dominating_sets_with_coverage(
     for t in range(n - 1, -1, -1):
         stuck[t] |= stuck[t + 1]
 
-    for k in range(max(smallest, -(-n // most[n])), n + 1):
-        yield from _dominating_below(closed, ban, stuck, most, full, 0, excluded, 0, 0, 0, n, k)
+    return chain.from_iterable(
+        _dominating_below(closed, ban, stuck, most, full, 0, excluded, 0, 0, 0, n, k)
+        for k in range(max(smallest, -(-n // most[n])), n + 1)
+    )
 
 
 def _dominating_below(

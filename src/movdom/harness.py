@@ -9,7 +9,7 @@ discrepancy: the graphs as edge lists, the sets, and the mode.
 All seven claims share one check loop, ``_report``: remark-3.1 and
 theorem-3.2 through ``_enumerated``, the three product formulas through
 ``_formula_claim``, and the two sampled corona lemmas directly.  Every
-2-movable value comes from ``solve_jointly``, both modes from one scan.
+2-movable value comes from ``gamma_m2``, one scan per mode.
 The two enumerated claims read one list of rows, one per isomorphism
 class of the labeled connected graphs, each solved once and weighted by
 its class size (the invariants are isomorphism invariants), so instance
@@ -40,7 +40,7 @@ from .graph import (
     path,
     vertex_list,
 )
-from .movable import _MODES, gamma_m1, is_2movable_dominating, solve_jointly
+from .movable import _MODES, gamma_m1, gamma_m2, is_2movable_dominating
 from .products import CoronaLayout, corona, join
 
 CORONA_ORDER_CAP = 16
@@ -108,9 +108,8 @@ def _report(
 
 
 def _solved_row(g: Graph) -> tuple[int | None, ...]:
-    """gamma, gamma_m1, then gamma_m2 in each of ``_MODES`` from one scan (None where absent)."""
-    found = solve_jointly(g, modes=_MODES)
-    return tuple(r.value for r in (gamma(g), gamma_m1(g), *(found[m] for m in _MODES)))
+    """gamma, gamma_m1, then gamma_m2 in each of ``_MODES`` (None where absent)."""
+    return tuple(r.value for r in (gamma(g), gamma_m1(g), *(gamma_m2(g, m) for m in _MODES)))
 
 
 def _class_rows(max_order: int) -> list[tuple[Graph, int, tuple]]:
@@ -157,16 +156,14 @@ def _formula_claim(claim: str, pool: str, items: list, product, expected, factor
     """Report ``gamma_m2(product(*item)) == expected(*item)`` in both modes.
 
     An item is a tuple of factor graphs, named by ``factors`` in a
-    counterexample.  The product is built once per item, before ``expected``,
-    and both modes come from one scan.
+    counterexample.  The product is built once per item, before ``expected``.
     """
 
     def check(item):
         built, _ = product(*item)
         want = expected(*item)
-        solved = solve_jointly(built, modes=_MODES)
         for mode in _MODES:
-            got = solved[mode].value
+            got = gamma_m2(built, mode).value
             if got != want:
                 yield {
                     **{name: _graph_payload(f) for name, f in zip(factors, item)},
@@ -370,9 +367,9 @@ def verify_lemma_3_5(g_pool, h_pool, samples_per_corona: int, seed: int) -> Clai
         # Both modes read the same draws; tee draws each only once, as far
         # as the longer reader goes.
         streams = tee(islice(dominating_samples(product, seed), draw_cap), len(_MODES))
-        solved = solve_jointly(product, modes=_MODES)
         for m, stream in zip(_MODES, streams):
-            witness = [solved[m].witness] if solved[m].exists else []
+            solved = gamma_m2(product, m)
+            witness = [solved.witness] if solved.exists else []
             hits = (t for t in stream if is_2movable_dominating(product, t, m))
             certified = list(islice(hits, samples_per_corona))
             tally["witnesses"] += len(witness)

@@ -38,15 +38,12 @@ they are tried in ascending order without a generator per member.
 reads only the adjacency, so it stays independent of the predicates.
 
 ``gamma`` is the first set of ``dominating_sets``.  ``gamma_m1`` and
-``solve_jointly`` walk ``dominating_sets_with_coverage``, which yields
-each set with its ``once`` and ``twice`` masks, carried along the
-generator's branch, so neither scan rebuilds them.  ``gamma_m1`` is a
-first-hit loop over every dominating set.  ``solve_jointly`` walks, once
-for gamma_m2's requested modes, the same sets in the same order from two
-members up, less those the two rules below rule out.  Every DISTINCT
-certificate is also a LITERAL one, so no set before the LITERAL witness
-is DISTINCT-movable: DISTINCT is tested only from that set onwards, and
-its witness is still the first DISTINCT-movable set in scan order.
+``gamma_m2`` walk ``dominating_sets_with_coverage``, which yields each
+set with its ``once`` and ``twice`` masks, carried along the generator's
+branch, so neither scan rebuilds them.  ``gamma_m1`` is a first-hit loop
+over every dominating set.  ``gamma_m2`` is a first-hit loop, in one
+mode, over the same sets in the same order from two members up, less
+those the two rules below rule out.
 
 No set that holds a leaf l and its one neighbour s is 2-movable, in
 either mode (the leaf rule): dropping the pair {l, s} leaves l uncovered,
@@ -95,11 +92,9 @@ class ReplacementMode(Enum):
     DISTINCT = "distinct"
 
 
-# Both modes in definition order.  The joint scan relies on LITERAL coming
-# first: DISTINCT is tested only from the LITERAL witness onwards.
 _MODES = tuple(ReplacementMode)
 
-_RECENT_PAIRS = 4  # how many blocking pairs the joint scan remembers (module docstring)
+_RECENT_PAIRS = 4  # how many blocking pairs the gamma_m2 scan remembers (module docstring)
 
 
 def _check_mode(mode: ReplacementMode) -> None:
@@ -279,50 +274,6 @@ def _scan_test(
     return cert
 
 
-def solve_jointly(
-    g: Graph, modes: tuple[ReplacementMode, ...] = ()
-) -> dict[ReplacementMode, SolverResult]:
-    """gamma_m2 in each of the given modes, from one scan of dominating sets.
-
-    Each mode's witness is the first set of ``dominating_sets`` with at
-    least two members that is 2-movable in that mode.  The scan never
-    builds the sets the module docstring rules out, tests the rest first
-    on recent blocking pairs, stops once every mode has a witness, and
-    reports absence for any mode without one.  One pass over ``g.nbrs``
-    builds the ban table: a leaf bans its one neighbour both ways, and a
-    support that gains a second leaf bans itself, so DISTINCT is never
-    tested.  A mode that is not a ReplacementMode member raises ValueError.
-    """
-    for mode in modes:
-        _check_mode(mode)
-    # ban[v]: the picks that may not join v.  No set holding a leaf and its
-    # support, or a strong support, is 2-movable, so none is built.
-    ban = [0] * g.n
-    strong = False
-    for leaf, nl in enumerate(g.nbrs):
-        if len(nl) == 1:
-            s = nl[0]
-            if ban[s] & ~(1 << leaf):  # s gains a second leaf (in K2, ban[s] is only this leaf)
-                ban[s] |= 1 << s
-                strong = True
-            ban[s] |= 1 << leaf
-            ban[leaf] |= 1 << s
-    # the modes still without a witness, LITERAL first; only the head is tested.
-    # With a strong support no set is DISTINCT-movable (module docstring).
-    pending = [m for m in _MODES if m in modes and not (strong and m is ReplacementMode.DISTINCT)]
-    found = {}
-    recent = []  # the blocking pairs of the last failed full tests, newest first
-    for mask, once, twice in dominating_sets_with_coverage(g, ban, 2):
-        while pending:
-            cert = _scan_test(g, mask, once, twice, pending[0], recent)
-            if not cert:
-                break
-            found[pending.pop(0)] = SolverResult(mask, certificate=cert)
-        if not pending:
-            break
-    return {mode: found.get(mode) or SolverResult(None) for mode in modes}
-
-
 def gamma_m1(g: Graph) -> SolverResult:
     """Exact 1-movable domination number, or absence when no set qualifies.
 
@@ -340,11 +291,40 @@ def gamma_m1(g: Graph) -> SolverResult:
 def gamma_m2(g: Graph, mode: ReplacementMode = ReplacementMode.LITERAL) -> SolverResult:
     """Exact 2-movable domination number under the given replacement mode.
 
-    The first set of ``solve_jointly``'s scan that is 2-movable in this
-    mode, or absence when none is: 2-movability is not closed under
-    supersets, so the scan runs up to the whole vertex set.
+    The witness is the first set of ``dominating_sets`` with at least two
+    members that is 2-movable in this mode, or absence when none is:
+    2-movability is not closed under supersets, so the scan runs up to the
+    whole vertex set.  The scan never builds the sets the module docstring
+    rules out and tests the rest first on recent blocking pairs.  One pass
+    over ``g.nbrs`` builds the ban table: a leaf bans its one neighbour
+    both ways, and a support that gains a second leaf bans itself, so
+    DISTINCT is reported absent without testing a set.  A mode that is not
+    a ReplacementMode member, or an order above the solvers' cap, raises
+    ValueError.
     """
-    return solve_jointly(g, modes=(mode,))[mode]
+    _check_mode(mode)
+    # ban[v]: the picks that may not join v.  No set holding a leaf and its
+    # support, or a strong support, is 2-movable, so none is built.
+    ban = [0] * g.n
+    strong = False
+    for leaf, nl in enumerate(g.nbrs):
+        if len(nl) == 1:
+            s = nl[0]
+            if ban[s] & ~(1 << leaf):  # s gains a second leaf (in K2, ban[s] is only this leaf)
+                ban[s] |= 1 << s
+                strong = True
+            ban[s] |= 1 << leaf
+            ban[leaf] |= 1 << s
+    sets = dominating_sets_with_coverage(g, ban, 2)  # refuses an over-cap graph here
+    # with a strong support no set is DISTINCT-movable (module docstring)
+    if strong and mode is ReplacementMode.DISTINCT:
+        return SolverResult(None)
+    recent = []  # the blocking pairs of the last failed full tests, newest first
+    for mask, once, twice in sets:
+        cert = _scan_test(g, mask, once, twice, mode, recent)
+        if cert:
+            return SolverResult(mask, certificate=cert)
+    return SolverResult(None)
 
 
 def verify_certificate(

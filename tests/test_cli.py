@@ -40,14 +40,15 @@ class TestCompute:
         }
 
     def test_not_exists_exit_code(self, capsys):
-        code, out, _ = run_cli(
-            ["compute", "gamma-m2", "--family", "star:4", "--mode", "distinct", "--json"],
-            capsys,
-        )
+        argv = ["compute", "gamma-m2", "--family", "star:4", "--mode", "distinct"]
+        code, out, _ = run_cli([*argv, "--json"], capsys)
         assert code == 2
         payload = json.loads(out)
         assert payload["value"] == "none"
         assert payload["witness"] is None
+        # the human form ends after the value: no witness, no certificate
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (2, "gamma-m2 mode=distinct\nvalue: none\n")
 
     def test_gamma_complete_5(self, capsys):
         code, out, _ = run_cli(["compute", "gamma", "--family", "complete:5", "--json"], capsys)
@@ -422,11 +423,7 @@ class TestVerify:
 
     def test_claim_failure_exit_code(self, capsys, monkeypatch):
         wrong = SolverResult(mask_of(*range(9)))
-        monkeypatch.setattr(
-            movdom.harness,
-            "solve_jointly",
-            lambda g, modes: {m: wrong for m in modes},
-        )
+        monkeypatch.setattr(movdom.harness, "gamma_m2", lambda g, mode: wrong)
         code, out, _ = run_cli(["verify", "--claim", "theorem-3.3", "--max-order", "4"], capsys)
         assert code == 3
         assert "FAIL" in out and "counterexample" in out

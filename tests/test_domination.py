@@ -19,13 +19,13 @@ from movdom import (
     mask_of,
     path,
     random_connected_graph,
-    solve_jointly,
     star,
     vertex_list,
 )
 from movdom.domination import (
     ascending_k_subsets,
     dominating_samples,
+    dominating_sets_with_coverage,
     greedy_repair,
     sample_dominating_sets,
 )
@@ -142,20 +142,28 @@ class TestGamma:
     @pytest.mark.parametrize(
         "solve, g",
         [
-            pytest.param(lambda g: next(dominating_sets(g)), path(25), id="dominating_sets"),
+            pytest.param(dominating_sets, path(25), id="dominating_sets"),
+            pytest.param(
+                lambda g: dominating_sets_with_coverage(g, (0,) * g.n, 1),
+                path(25),
+                id="dominating_sets_with_coverage",
+            ),
             pytest.param(gamma, path(25), id="gamma"),
             pytest.param(gamma_m1, path(25), id="gamma_m1"),
             pytest.param(lambda g: gamma_m2(g, LITERAL), path(25), id="gamma_m2-literal"),
             pytest.param(lambda g: gamma_m2(g, DISTINCT), path(25), id="gamma_m2-distinct"),
             # star(25) has a strong support, so no DISTINCT set is ever tested:
-            # the scan must still start, and raise rather than report absence
-            pytest.param(
-                lambda g: solve_jointly(g, modes=(DISTINCT,)), star(25), id="solve_jointly-distinct"
-            ),
+            # the scan must still be made, and raise rather than report absence
+            pytest.param(lambda g: gamma_m2(g, DISTINCT), star(25), id="gamma_m2-distinct-star25"),
         ],
     )
-    def test_order_cap(self, solve, g):
-        # every exact entry scans the one generator, which owns the cap
+    def test_order_cap(self, monkeypatch, solve, g):
+        # every exact entry scans the one generator, which owns the cap and
+        # refuses at the call, before any set is drawn or built
+        def no_search(*args):
+            raise AssertionError("a set was built for a graph above the cap")
+
+        monkeypatch.setattr(movdom.domination, "_dominating_below", no_search)
         with pytest.raises(ValueError, match="capped"):
             solve(g)
 

@@ -30,7 +30,6 @@ from movdom import (
     mask_of,
     path,
     run_all,
-    solve_jointly,
     star,
     verify_corollary_3_1,
     verify_lemma_3_4,
@@ -245,12 +244,11 @@ def _graph(g):
 
 
 def _corrupt(mode=None, result=None):
-    """solve_jointly that returns result for gamma_m2 in mode (every mode when
-    mode is None), and the true results otherwise."""
+    """gamma_m2 that returns result in mode (in every mode when mode is None),
+    and the true result otherwise."""
 
-    def fake(g, **asked):
-        true = solve_jointly(g, **asked)
-        return {m: result if mode in (None, m) else r for m, r in true.items()}
+    def fake(g, asked):
+        return result if mode in (None, asked) else gamma_m2(g, asked)
 
     return fake
 
@@ -263,7 +261,7 @@ LITERAL, DISTINCT = ReplacementMode.LITERAL, ReplacementMode.DISTINCT
 # counterexample); every pool has two admissible instances.
 FOLDED_CLAIMS = {
     "remark-3.1": (
-        ("solve_jointly", _corrupt(DISTINCT, TOO_SMALL)),
+        ("gamma_m2", _corrupt(DISTINCT, TOO_SMALL)),
         lambda: verify_remark_3_1([path(4), cycle(4)]),
         {"graph": _graph(path(4)), "mode": "distinct", "expected": ">= 2", "got": 1},
     ),
@@ -273,7 +271,7 @@ FOLDED_CLAIMS = {
         {"graph": _graph(path(4)), "inequality": "gamma <= gamma-m1", "gamma": 2, "got": "none"},
     ),
     "theorem-3.2/gamma-m2": (
-        ("solve_jointly", _corrupt(DISTINCT, TOO_SMALL)),
+        ("gamma_m2", _corrupt(DISTINCT, TOO_SMALL)),
         lambda: verify_theorem_3_2([path(4), cycle(4)]),
         {
             "graph": _graph(path(4)),
@@ -284,7 +282,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.3": (
-        ("solve_jointly", _corrupt(DISTINCT, NONE)),
+        ("gamma_m2", _corrupt(DISTINCT, NONE)),
         lambda: verify_theorem_3_3([complete(2)], [complete(2), path(3)]),
         {
             "g": _graph(complete(2)),
@@ -295,7 +293,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "theorem-3.6": (
-        ("solve_jointly", _corrupt(LITERAL, SolverResult(mask_of(*range(7))))),
+        ("gamma_m2", _corrupt(LITERAL, SolverResult(mask_of(*range(7))))),
         lambda: verify_theorem_3_6([complete(2)], [complete(1), path(3)]),
         {
             "g": _graph(complete(2)),
@@ -306,7 +304,7 @@ FOLDED_CLAIMS = {
         },
     ),
     "corollary-3.1": (
-        ("solve_jointly", _corrupt(DISTINCT, NONE)),
+        ("gamma_m2", _corrupt(DISTINCT, NONE)),
         lambda: verify_corollary_3_1([cycle(4), path(5)]),
         {"h": _graph(cycle(4)), "mode": "distinct", "expected": 2, "got": "none"},
     ),
@@ -316,7 +314,7 @@ FOLDED_CLAIMS = {
 class TestCorruptedSolverSensitivity:
     def test_theorem_3_3_detects_and_replays(self, monkeypatch):
         monkeypatch.setattr(
-            movdom.harness, "solve_jointly", _corrupt(result=SolverResult(mask_of(0, 1, 2)))
+            movdom.harness, "gamma_m2", _corrupt(result=SolverResult(mask_of(0, 1, 2)))
         )
         report = verify_theorem_3_3([complete(2)], [complete(2)])
         assert not report.passed
@@ -336,7 +334,7 @@ class TestCorruptedSolverSensitivity:
         assert gamma_m2(product, ReplacementMode(ce["mode"])).value == ce["expected"]
 
     def test_remark_detects_corrupted_floor(self, monkeypatch):
-        monkeypatch.setattr(movdom.harness, "solve_jointly", _corrupt(result=TOO_SMALL))
+        monkeypatch.setattr(movdom.harness, "gamma_m2", _corrupt(result=TOO_SMALL))
         report = verify_remark_3_1([path(4)])
         assert not report.passed
         assert report.counterexample["got"] == 1
@@ -345,13 +343,13 @@ class TestCorruptedSolverSensitivity:
     def test_folded_claim_counterexample(self, case, monkeypatch):
         (solver, fake), run, counterexample = FOLDED_CLAIMS[case]
         monkeypatch.setattr(movdom.harness, solver, fake)
-        solve, modes = movdom.harness.solve_jointly, []
+        solve, modes = movdom.harness.gamma_m2, []
 
-        def counted(g, **asked):
-            modes.extend(asked["modes"])
-            return solve(g, **asked)
+        def counted(g, mode):
+            modes.append(mode)
+            return solve(g, mode)
 
-        monkeypatch.setattr(movdom.harness, "solve_jointly", counted)
+        monkeypatch.setattr(movdom.harness, "gamma_m2", counted)
         report = run()
         assert report.status == "fail"
         assert report.counterexample == counterexample
@@ -459,8 +457,8 @@ class TestBenchmarkNames:
 
 def _row(g):
     """gamma, gamma_m1 and gamma_m2 in both modes, in the order of an enumerated row."""
-    found = solve_jointly(g, modes=(LITERAL, DISTINCT))
-    return (gamma(g).value, gamma_m1(g).value, found[LITERAL].value, found[DISTINCT].value)
+    m2 = (gamma_m2(g, mode).value for mode in (LITERAL, DISTINCT))
+    return (gamma(g).value, gamma_m1(g).value, *m2)
 
 
 class TestRunAll:
@@ -491,31 +489,34 @@ class TestRunAll:
 
     def test_enumerated_claims_share_one_scan(self, monkeypatch):
         connected, solved, solved_m1 = [], [], []
-        is_connected, solve = movdom.harness.is_connected, movdom.harness.solve_jointly
+        is_connected, solve = movdom.harness.is_connected, movdom.harness.gamma_m2
         solve_m1 = movdom.harness.gamma_m1
 
         def counted_connected(g):
             connected.append(g)
             return is_connected(g)
 
-        def counted_solve(g, **asked):
-            solved.append(g)
-            return solve(g, **asked)
+        def counted_solve(g, mode):
+            solved.append((g, mode))
+            return solve(g, mode)
 
         def counted_m1(g):
             solved_m1.append(g)
             return solve_m1(g)
 
         monkeypatch.setattr(movdom.harness, "is_connected", counted_connected)
-        monkeypatch.setattr(movdom.harness, "solve_jointly", counted_solve)
+        monkeypatch.setattr(movdom.harness, "gamma_m2", counted_solve)
         monkeypatch.setattr(movdom.harness, "gamma_m1", counted_m1)
         reports = run_all(BudgetConfig(max_order=4), claims=["remark-3.1", "theorem-3.2"])
         assert [r.instances for r in reports] == [38, 38]
         assert reports[0].pool == "38 connected graphs of order >= 4 (of 38 supplied)"
         # the default pool is enumerated connected, so it is not tested again
         assert connected == []
-        # one scan and one gamma_m1 call per isomorphism class, on its graph, in class order
-        assert solved == solved_m1 == [g for g, _ in enumerate_connected_classes(4)]
+        # one gamma_m1 call and one gamma_m2 call per mode for each isomorphism
+        # class, on its graph, in class order
+        classes = [g for g, _ in enumerate_connected_classes(4)]
+        assert solved_m1 == classes
+        assert solved == [(g, mode) for g in classes for mode in (LITERAL, DISTINCT)]
 
     def test_class_rows_equal_direct_scans(self):
         """Each row holds its graph's own scan, and the rows weighted by size hold every graph's."""

@@ -31,7 +31,6 @@ from movdom import (
     mask_of,
     path,
     random_connected_graph,
-    solve_jointly,
     star,
     vertex_list,
     verify_certificate,
@@ -298,7 +297,7 @@ def _loop_gamma_m1(g):
 
 
 def _loop_gamma_m2(g, mode):
-    """gamma_m2 as its own scan loop, kept from before the joint scan."""
+    """gamma_m2 as a plain loop over ``dominating_sets``: no ban table, no recent pairs."""
     for mask in (s for s in dominating_sets(g) if s.bit_count() >= 2):
         cert = is_2movable_dominating(g, mask, mode)
         if cert:
@@ -339,28 +338,33 @@ def _sparse_graphs(draw):
 
 
 class TestJointScan:
+    """Each solver against its plain loop and the naive oracle, on the same graphs."""
+
     def _matches_loops_and_naive(self, g):
-        joint = solve_jointly(g, modes=(LITERAL, DISTINCT))
-        loops = {LITERAL: _loop_gamma_m2(g, LITERAL), DISTINCT: _loop_gamma_m2(g, DISTINCT)}
-        # value, witness and certificate, from the joint call and the one-invariant wrappers
+        found = {mode: gamma_m2(g, mode) for mode in (LITERAL, DISTINCT)}
+        # value, witness and certificate, from each scan and its plain loop
         assert gamma(g).witness == next(dominating_sets(g))
         assert gamma_m1(g) == _loop_gamma_m1(g)
-        assert joint == loops
         for mode in (LITERAL, DISTINCT):
-            alone = solve_jointly(g, modes=(mode,))
-            assert alone == {mode: loops[mode]}
-            assert gamma_m2(g, mode) == loops[mode]
+            assert found[mode] == _loop_gamma_m2(g, mode)
         view = _view(g)
         naive_results = [
             (gamma(g), naive.naive_gamma(view)),
             (gamma_m1(g), naive.naive_gamma_m1(view)),
-            *((joint[m], naive.naive_gamma_m2(view, m is DISTINCT)) for m in loops),
+            *((found[m], naive.naive_gamma_m2(view, m is DISTINCT)) for m in found),
         ]
         for result, (value, witness) in naive_results:
             assert result.value == value
             assert (vertex_list(result.witness) if result.exists else None) == (
                 None if witness is None else list(witness)
             )
+        # every DISTINCT certificate is a LITERAL one, so no DISTINCT witness
+        # comes before the LITERAL witness in scan order (size, then mask)
+        literal, distinct = found[LITERAL], found[DISTINCT]
+        if distinct.exists:
+            assert literal.exists
+            assert (literal.value, literal.witness) <= (distinct.value, distinct.witness)
+            assert verify_certificate(g, distinct.witness, distinct.certificate, LITERAL)
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(max_n=9))
@@ -378,16 +382,6 @@ class TestJointScan:
         # most sets here are rejected by a recent blocking pair, without the full test
         self._matches_loops_and_naive(g)
 
-    def test_result_holds_only_the_movable_invariants(self):
-        # gamma has one source, ``gamma``, and gamma_m1 one, ``gamma_m1``
-        assert list(solve_jointly(path(4), modes=(LITERAL, DISTINCT))) == [LITERAL, DISTINCT]
-
-    def test_only_requested_results(self):
-        # each mode of gamma_m2 only when asked for
-        assert solve_jointly(path(4)) == {}
-        found = solve_jointly(path(4), modes=(DISTINCT,))
-        assert list(found) == [DISTINCT]
-
     @pytest.mark.parametrize(
         "g",
         [star(5), complete(4), join(complete(1), path(4))[0]],
@@ -396,31 +390,16 @@ class TestJointScan:
     def test_universal_vertex_singleton_never_tested(self, g):
         # a universal vertex dominates alone; the m2 scan starts there, but
         # hands no one-member set to the 2-movability predicate
-        found, checked = TestLeafRule._checked_sets(solve_jointly, g, modes=(LITERAL, DISTINCT))
         assert gamma(g).value == 1
-        assert checked and all(s.bit_count() >= 2 for s in checked)
-        view = _view(g)
+        view, checked = _view(g), []
         for mode in (LITERAL, DISTINCT):
-            assert found[mode] == _loop_gamma_m2(g, mode)
+            found, tested = TestLeafRule._checked_sets(gamma_m2, g, mode)
+            checked += tested
+            assert found == _loop_gamma_m2(g, mode)
             value, witness = naive.naive_gamma_m2(view, mode is DISTINCT)
-            assert found[mode].value == value
-            assert found[mode].witness == (None if witness is None else mask_of(*witness))
-
-    def test_distinct_tested_from_literal_witness_on(self):
-        for g in enumerate_connected_graphs(5):
-            found, tests = _scan_tests(solve_jointly, g, modes=(DISTINCT, LITERAL))
-            checked = [(s, mode) for s, mode, _ in tests]
-            literal = [s for s, m in checked if m is LITERAL]
-            distinct = [s for s, m in checked if m is DISTINCT]
-            # LITERAL up to its witness, DISTINCT from there to its own witness or the end
-            assert literal[-1] == found[LITERAL].witness
-            if _strong_supports(g):
-                # no DISTINCT witness exists, so no set is tested for one
-                assert not distinct and not found[DISTINCT].exists
-                continue
-            assert distinct[0] == found[LITERAL].witness
-            assert distinct[-1] == found[DISTINCT].witness or not found[DISTINCT].exists
-            assert checked.index((distinct[0], DISTINCT)) == len(literal)
+            assert found.value == value
+            assert found.witness == (None if witness is None else mask_of(*witness))
+        assert checked and all(s.bit_count() >= 2 for s in checked)
 
 
 class TestRecentBlockingPairs:
@@ -507,9 +486,10 @@ class TestLeafRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_leaves(9))
     def test_scan_skips_sets_with_leaf_pair(self, g):
-        _, checked = self._checked_sets(solve_jointly, g, modes=(LITERAL, DISTINCT))
         pairs = _leaf_pairs(g)
-        assert not any(_holds_leaf_pair(s, pairs) for s in checked)
+        for mode in (LITERAL, DISTINCT):
+            _, checked = self._checked_sets(gamma_m2, g, mode)
+            assert not any(_holds_leaf_pair(s, pairs) for s in checked)
 
     def test_scan_check_count_without_witness(self):
         # vertex 8 has two leaves, so DISTINCT has no witness and is decided
@@ -536,34 +516,33 @@ class TestStrongSupportRule:
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_strong_support(9, connected=True))
     def test_matches_naive(self, g):
-        found = solve_jointly(g, modes=(LITERAL, DISTINCT))
         view = _view(g)
-        assert not found[DISTINCT].exists
+        assert not gamma_m2(g, DISTINCT).exists
         assert naive.naive_gamma_m2(view, True) == (None, None)
         value, witness = naive.naive_gamma_m2(view, False)
-        assert found[LITERAL].value == value
-        assert found[LITERAL].witness == (None if witness is None else mask_of(*witness))
+        found = gamma_m2(g, LITERAL)
+        assert found.value == value
+        assert found.witness == (None if witness is None else mask_of(*witness))
 
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_strong_support(9))
     def test_scan_never_tests_a_strong_support(self, g):
-        found, tests = _scan_tests(solve_jointly, g, modes=(LITERAL, DISTINCT))
-        checked = [(s, mode) for s, mode, _ in tests]
         strong = _strong_supports(g)
-        assert strong and not found[DISTINCT].exists
-        assert not any(s & strong for s, _ in checked)
-        assert all(mode is LITERAL for _, mode in checked)
+        _, tests = _scan_tests(gamma_m2, g, LITERAL)
+        assert strong and not any(s & strong for s, _, _ in tests)
+        found, tests = _scan_tests(gamma_m2, g, DISTINCT)
+        assert not found.exists and tests == []
 
     def test_distinct_absent_exactly_with_strong_support(self):
         # labeled graphs of order 4-6, counted through their classes
         absent = with_strong = 0
         for n in range(4, 7):
             for g, size in enumerate_connected_classes(n):
-                found = solve_jointly(g, modes=(LITERAL, DISTINCT))
+                distinct = gamma_m2(g, DISTINCT).exists
                 strong = bool(_strong_supports(g))
-                assert found[LITERAL].exists
-                assert found[DISTINCT].exists is not strong
-                absent += size * (not found[DISTINCT].exists)
+                assert gamma_m2(g, LITERAL).exists
+                assert distinct is not strong
+                absent += size * (not distinct)
                 with_strong += size * strong
         assert absent == with_strong == 1875
 
@@ -633,11 +612,12 @@ class TestBannedStream:
     @given(st.integers(1, 12), st.integers(0, 10**6))
     def test_matches_naive_on_random_trees(self, n, seed):
         g = _tree(n, seed)
-        found, view = solve_jointly(g, modes=(LITERAL, DISTINCT)), _view(g)
+        view = _view(g)
         for mode in (LITERAL, DISTINCT):
+            found = gamma_m2(g, mode)
             value, witness = naive.naive_gamma_m2(view, mode is DISTINCT)
-            assert found[mode].value == value
-            assert found[mode].witness == (None if witness is None else mask_of(*witness))
+            assert found.value == value
+            assert found.witness == (None if witness is None else mask_of(*witness))
 
     def test_sets_built_before_the_witness(self):
         # dominating_sets builds 647,916 sets of this tree up to the LITERAL
@@ -847,13 +827,13 @@ class TestVerifyCertificate:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda mode: solve_jointly(path(4), modes=(mode,)),
+        lambda mode: gamma_m2(path(4), mode),
         lambda mode: is_2movable_dominating(star(4), mask_of(1, 2, 3), mode),
         lambda mode: verify_certificate(
             star(4), mask_of(1, 2, 3), is_2movable_dominating(star(4), mask_of(1, 2, 3)), mode
         ),
     ],
-    ids=["solve_jointly", "is_2movable_dominating", "verify_certificate"],
+    ids=["gamma_m2", "is_2movable_dominating", "verify_certificate"],
 )
 def test_mode_must_be_a_replacement_mode(call):
     """A str is no mode: "distinct" used to read as LITERAL, or as no mode at all."""
