@@ -32,10 +32,23 @@ uncovers ``lost = once & (N[x] | N[y]) | twice & N[x] & N[y]``.  The
 drop works iff ``lost`` is empty; the swap to u (or to u and v) works
 iff the replacements' closed neighbourhoods cover ``lost``.  The swap
 candidates come from the graph's ``nbrs`` tuples, members skipped, so
-they are tried in ascending order without a generator per member.
-``verify_certificate`` uses neither these masks nor ``closed`` nor
-``nbrs``: it re-checks every move with plain ``is_dominating``, which
-reads only the adjacency, so it stays independent of the predicates.
+they are tried in ascending order without a generator per member.  Every
+drop move comes from one shared table, one ``Move`` per vertex and one
+per pair, built on first use and extended for a larger graph, and swaps
+are built with ``tuple.__new__``, as ``Move``'s own constructor is a
+Python function.
+
+``verify_certificate`` stays independent of the predicates: it reads
+neither these masks nor ``closed`` nor ``nbrs``.  It tests S once with
+plain ``is_dominating`` and then each move, in canonical order, from
+unions built from the adjacency alone, never from ``unions`` or
+coverage counts.  With N[m] = adj[m] | 1 << m for each member m,
+``before[m]`` is the union of N over the members below m and ``after[m]``
+over those above it.  Dropping x, or the pair x < y, leaves
+``before[x] | between | after[y]`` covered, where ``between`` is the union
+over the members strictly between x and y; it grows by one N as y rises
+for one x.  A move holds iff that union, with N[u] for each replacement u,
+is every vertex: a few big-int operations per move, not a domination test.
 
 ``gamma`` is the first set of ``dominating_sets``.  ``gamma_m1`` and
 ``gamma_m2`` walk ``dominating_sets_with_coverage``, which yields each
@@ -78,7 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .domination import SolverResult, dominating_sets_with_coverage, is_dominating
@@ -93,6 +106,8 @@ class ReplacementMode(Enum):
 
 
 _MODES = tuple(ReplacementMode)
+
+_members_of = attrgetter("members")
 
 _RECENT_PAIRS = 4  # how many blocking pairs the gamma_m2 scan remembers (module docstring)
 
@@ -115,8 +130,7 @@ class Move(NamedTuple):
     ``members`` is (v,), or (x, y) with x < y.  ``replacement`` holds one
     outside neighbor per member, in the same order (u for x, v for y), or
     is None when the members are simply dropped.  A named tuple: a frozen
-    dataclass is slower to build, and the predicates build one per member
-    or pair.
+    dataclass is slower to build, and the predicates build one per swap.
     """
 
     members: tuple[int, ...]
@@ -161,6 +175,31 @@ class MovabilityFailure:
         return False
 
 
+# Move's own __new__ is a Python function; the predicates build swaps with tuple's
+_new_move = tuple.__new__
+
+# The drop moves, shared by every certificate: drops[v] is Move((v,)) and
+# pair_drops[y][x] is Move((x, y)) for x < y.  The predicates take graphs of
+# any order, so the pair starts empty and is replaced, never mutated, by a
+# longer one for the first graph too large for it.
+_drop_tables: tuple[tuple[Move, ...], tuple[tuple[Move, ...], ...]] = ((), ())
+
+
+def _drop_moves(n: int) -> tuple[tuple[Move, ...], tuple[tuple[Move, ...], ...]]:
+    """The shared drop tables, covering at least vertices 0..n-1."""
+    global _drop_tables
+    tables = _drop_tables
+    if len(tables[0]) < n:
+        drops, pair_drops = tables
+        new = range(len(drops), n)
+        tables = _drop_tables = (
+            drops + tuple(_new_move(Move, ((y,), None)) for y in new),
+            pair_drops
+            + tuple(tuple(_new_move(Move, ((x, y), None)) for x in range(y)) for y in new),
+        )
+    return tables
+
+
 def _coverage(g: Graph, s: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
     """The vertices s covers >= 1, == 1 and == 2 times; ValueError if s is out of range or empty."""
     check_vertex_set(g, s)
@@ -193,16 +232,17 @@ def _vertex_moves(
 ) -> MovabilityCertificate | MovabilityFailure:
     """Canonical moves for every member of the dominating set s, whose coverage is once."""
     closed, nbrs = g.closed, g.nbrs
+    drops, _ = _drop_moves(g.n)
     moves = []
     for v in bits(s):
         lost = once & closed[v]
         if not lost:
-            moves.append(Move((v,)))
+            moves.append(drops[v])
             continue
         # a member u covers none of v's private neighbours, so only outside ones pass
         for u in nbrs[v]:
             if not lost & ~closed[u]:
-                moves.append(Move((v,), (u,)))
+                moves.append(_new_move(Move, ((v,), (u,))))
                 break
         else:
             return MovabilityFailure("immovable-vertex", v)
@@ -235,12 +275,13 @@ def _pair_moves(
 ) -> MovabilityCertificate | MovabilityFailure:
     """Canonical moves for ``pairs`` of the dominating set s, whose coverage is once and twice."""
     closed, nbrs = g.closed, g.nbrs
+    _, pair_drops = _drop_moves(g.n)
     moves = []
     for x, y in pairs:
         nx, ny = closed[x], closed[y]
         lost = once & (nx | ny) | twice & nx & ny
         if not lost:
-            moves.append(Move((x, y)))
+            moves.append(pair_drops[y][x])
             continue
         # the first (u, v) outside s whose closed neighbourhoods cover what the pair loses
         for u in nbrs[x]:
@@ -252,7 +293,7 @@ def _pair_moves(
                     break
             else:
                 continue
-            moves.append(Move((x, y), (u, v)))
+            moves.append(_new_move(Move, ((x, y), (u, v))))
             break
         else:
             return MovabilityFailure("immovable-pair", (x, y))
@@ -339,7 +380,7 @@ def verify_certificate(
     move's members, or its replacement, do not number exactly ``level``,
     when the moves do not cover exactly the required members (level 1) or
     distinct pairs (level 2), or when a move holds a value of the wrong
-    type that the checks cannot compare or shift: a str vertex, a float
+    type that the checks cannot compare, index or shift: a str vertex, a float
     member, a bare int replacement, or a float replacement inside 0..n-1.
     Returns False when the shape is right but s does not dominate, s has
     fewer members than the level (so a level-2 certificate needs a pair),
@@ -347,42 +388,65 @@ def verify_certificate(
     replacement inside s or outside 0..n-1 (a float one too, as the range
     check comes before any shift), a replacement not adjacent to its own
     member, coinciding replacements in DISTINCT mode, or a swap that breaks
-    domination.  Only the adjacency and plain is_dominating are used, never
-    the solver's predicates.  A mode that is not a ReplacementMode member
-    raises ValueError.
+    domination.  The moves are checked in canonical order.  s is tested
+    once with plain is_dominating, and each move from unions of N[m] =
+    adj[m] | 1 << m over the members before, between and after its own (the
+    module docstring): O(1) per move, never the solver's predicates nor the
+    graph's closed, nbrs or unions tables.  A mode that is not a
+    ReplacementMode member raises ValueError.
     """
     _check_mode(mode)
     check_vertex_set(g, s)
     # a value of the wrong type (a str or float vertex, a bare int replacement)
-    # fails in len, a comparison or a shift: malformed, at no cost per value
+    # fails in len, a comparison, an index or a shift: malformed, at no cost per value
     try:
         level = cert.level
         if level not in (1, 2):
             raise MalformedCertificateError(f"unknown certificate level {level}")
         for m in cert.moves:
-            if len(m.members) != level or not (m.is_drop or len(m.replacement) == level):
+            replacement = m.replacement
+            if len(m.members) != level or not (replacement is None or len(replacement) == level):
                 raise MalformedCertificateError("move shape does not match the certificate level")
         members = vertex_list(s)
-        if sorted(m.members for m in cert.moves) != list(combinations(members, level)):
+        moves = sorted(cert.moves, key=_members_of)  # canonical order, as the predicates emit
+        if list(map(_members_of, moves)) != list(combinations(members, level)):
             raise MalformedCertificateError(
                 "moves must cover every required member or pair exactly once"
             )
         if len(members) < level or not is_dominating(g, s):
             return False
 
+        # N[v], before[v] and after[v] of the module docstring, indexed by the
+        # member v, so a member of the wrong type fails as an index: malformed
+        adj, n, full = g.adj, g.n, g.full_mask
+        nbhd, before, after = [0] * n, [0] * n, [0] * n
+        union = 0
+        for v in members:
+            before[v] = union
+            nbhd[v] = nv = adj[v] | 1 << v
+            union |= nv
+        union = 0
+        for v in reversed(members):
+            after[v] = union
+            union |= nbhd[v]
         distinct = mode is ReplacementMode.DISTINCT
-        for move in cert.moves:
-            rest = s
-            for x in move.members:
-                rest &= ~(1 << x)
-            if not move.is_drop:
-                if distinct and len(set(move.replacement)) < level:
+        head = None
+        for move in moves:
+            group = move.members
+            x, y = group[0], group[-1]  # x == y at level 1
+            if x != head:
+                head, between = x, 0
+            rest = before[x] | between | after[y]
+            between |= nbhd[y]
+            replacement = move.replacement
+            if replacement is not None:
+                if distinct and len(set(replacement)) < level:
                     return False
-                for x, u in zip(move.members, move.replacement):
-                    if not 0 <= u < g.n or s >> u & 1 or not g.adj[x] >> u & 1:
+                for m, u in zip(group, replacement):
+                    if not 0 <= u < n or s >> u & 1 or not adj[m] >> u & 1:
                         return False
-                    rest |= 1 << u
-            if not is_dominating(g, rest):
+                    rest |= adj[u] | 1 << u
+            if rest != full:
                 return False
         return True
     except TypeError as err:

@@ -89,6 +89,38 @@ def two_movable(g, s, distinct: bool) -> bool:
     return True
 
 
+def certificate_holds(g, s, level: int, moves, distinct: bool):
+    """Whether ``moves`` certify s, tested one move at a time, or None if malformed.
+
+    ``moves`` is a list of (members, replacement) pairs, the replacement
+    None for a drop.  Malformed means a move of the wrong shape, or moves
+    that are not one per ``level``-subset of s.  Otherwise s must dominate
+    and have ``level`` members, and every move must hold: each replacement
+    is an outside neighbour of its own member (distinct ones if
+    ``distinct``), and the rest of s with the replacements dominates.
+    """
+    s = set(s)
+    for members, replacement in moves:
+        if len(members) != level or replacement is not None and len(replacement) != level:
+            return None
+    if sorted(tuple(members) for members, _ in moves) != list(combinations(sorted(s), level)):
+        return None
+    if len(s) < level or not dominates(g, s):
+        return False
+    for members, replacement in moves:
+        rest = s - set(members)
+        if replacement is not None:
+            if distinct and len(set(replacement)) < level:
+                return False
+            for x, u in zip(members, replacement):
+                if u in s or u not in g.neighbors(x):
+                    return False
+            rest |= set(replacement)
+        if not dominates(g, rest):
+            return False
+    return True
+
+
 def minimum_by(g, predicate):
     """Smallest satisfying subset by exhaustive ascending-size search.
 

@@ -17,6 +17,7 @@ from movdom import (
     ReplacementMode,
     SolverResult,
     complete,
+    corona,
     cycle,
     dominating_sets,
     enumerate_connected_classes,
@@ -92,6 +93,8 @@ FORGED = [
     (path(2), 0, MovabilityCertificate(1, ())),
 ]
 FORGED_IDS = ["non-dominating-pair", "non-dominating-vertex", "singleton", "empty"]
+
+MUTATIONS = ["none", "replacement", "drop-to-swap", "swap-to-drop", "missing", "duplicated"]
 
 
 class TestOneMovable:
@@ -697,11 +700,27 @@ class TestVerifyCertificate:
 
     @pytest.mark.parametrize(
         "move",
-        [Move((1,), 0), Move((1,), ("a",)), Move((1,), (0.0,)), Move(("1",), None)],
-        ids=["int-replacement", "str-replacement", "float-replacement", "str-member"],
+        [
+            Move((1,), 0),
+            Move((1,), ("a",)),
+            Move((1,), (0.0,)),
+            Move(("1",), None),
+            Move((1.0,), None),
+            Move((1.0, 2), None),
+        ],
+        ids=[
+            "int-replacement",
+            "str-replacement",
+            "float-replacement",
+            "str-member",
+            "float-member-drop",
+            "float-member-pair-drop",
+        ],
     )
     def test_value_of_wrong_type_is_malformed(self, move):
-        cert = MovabilityCertificate(1, (move, Move((2,), (3,))))
+        # a float member equals its int, so only a check that indexes or shifts by it fails
+        others = (Move((2,), (3,)),) if len(move.members) == 1 else ()
+        cert = MovabilityCertificate(len(move.members), (move, *others))
         with pytest.raises(MalformedCertificateError, match="wrong type"):
             verify_certificate(path(4), mask_of(1, 2), cert)
 
@@ -753,6 +772,57 @@ class TestVerifyCertificate:
         else:
             expected = naive.two_movable(_view(g), members, mode is DISTINCT)
         assert verify_certificate(g, s, cert, mode) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_subset(1, 9), st.booleans(), st.data())
+    def test_agrees_with_per_move_reference_on_mutated_certificates(self, case, repair, data):
+        # one move per group, the first that works (a drop when none does), then one mutation
+        g, s = case
+        if repair:
+            s = greedy_repair(g, s)
+        members = vertex_list(s)
+        level = data.draw(st.sampled_from([1, 2]))
+        mode = data.draw(st.sampled_from([LITERAL, DISTINCT]))
+        moves = [
+            Move(group, found or None)
+            for group, found in _first_moves(g, s, level, mode is DISTINCT)
+        ]
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        swaps = [i for i, m in enumerate(moves) if not m.is_drop]
+        drops = [i for i, m in enumerate(moves) if m.is_drop]
+        if kind == "replacement" and swaps:
+            i = data.draw(st.sampled_from(swaps))
+            slot = data.draw(st.integers(0, level - 1))
+            owner = moves[i].members[slot]
+            strangers = [u for u in range(g.n) if u != owner and not g.adj[owner] >> u & 1]
+            # inside s, outside 0..n-1, or no neighbour of its member
+            choices = [st.sampled_from(members), st.sampled_from([-1, g.n, g.n + 7])]
+            if strangers:
+                choices.append(st.sampled_from(strangers))
+            u = data.draw(st.one_of(*choices))
+            replacement = list(moves[i].replacement)
+            replacement[slot] = u
+            moves[i] = Move(moves[i].members, tuple(replacement))
+        elif kind == "drop-to-swap" and drops:
+            i = data.draw(st.sampled_from(drops))
+            vertex = st.integers(0, g.n - 1)
+            moves[i] = Move(moves[i].members, tuple(data.draw(vertex) for _ in range(level)))
+        elif kind == "swap-to-drop" and swaps:
+            i = data.draw(st.sampled_from(swaps))
+            moves[i] = Move(moves[i].members)
+        elif kind == "missing" and moves:
+            del moves[data.draw(st.integers(0, len(moves) - 1))]
+        elif kind == "duplicated" and moves:
+            moves.append(data.draw(st.sampled_from(moves)))
+        moves = data.draw(st.permutations(moves))
+        mode = data.draw(st.sampled_from([mode, LITERAL if mode is DISTINCT else DISTINCT]))
+        cert = MovabilityCertificate(level, tuple(moves))
+        expected = naive.certificate_holds(_view(g), members, level, moves, mode is DISTINCT)
+        if expected is None:
+            with pytest.raises(MalformedCertificateError):
+                verify_certificate(g, s, cert, mode)
+        else:
+            assert verify_certificate(g, s, cert, mode) is expected
 
     def test_independent_of_the_predicates_coverage(self, monkeypatch):
         # the checker must decide every move without the predicates' masks
@@ -868,6 +938,26 @@ class TestExactCertificates:
     @given(sparse_graphs_with_subset(10, 16), st.booleans())
     def test_matches_brute_force_at_orders_10_to_16(self, level, mode, case, repair):
         self._assert_matches_brute_force(level, mode, case, repair)
+
+    @pytest.mark.parametrize("level, mode", [(1, LITERAL), (2, LITERAL), (2, DISTINCT)])
+    def test_matches_naive_above_the_solver_cap(self, level, mode):
+        # the predicates take any order, so on corona(C6, P4), 30 vertices, the drop
+        # moves they share must reach vertex 29
+        g = corona(cycle(6), path(4))[0]
+        copies = mask_of(*range(6, 30))
+        certified = 0
+        for s in (copies, copies | mask_of(0, 3), greedy_repair(g, Random(5).getrandbits(30))):
+            cert = _check(g, s, level, mode)
+            members = set(vertex_list(s))
+            if level == 1:
+                assert bool(cert) == naive.one_movable(_view(g), members)
+            else:
+                assert bool(cert) == naive.two_movable(_view(g), members, mode is DISTINCT)
+            self._assert_matches_brute_force(level, mode, (g, s), False)
+            if cert:
+                assert verify_certificate(g, s, cert, mode)
+                certified += 1
+        assert certified == {1: 3, 2: 2 if mode is LITERAL else 0}[level]
 
     @staticmethod
     def _assert_matches_brute_force(level, mode, case, repair):
