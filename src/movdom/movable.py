@@ -32,11 +32,11 @@ uncovers ``lost = once & (N[x] | N[y]) | twice & N[x] & N[y]``.  The
 drop works iff ``lost`` is empty; the swap to u (or to u and v) works
 iff the replacements' closed neighbourhoods cover ``lost``.  The swap
 candidates come from the graph's ``nbrs`` tuples, members skipped, so
-they are tried in ascending order without a generator per member.  Every
-drop move comes from one shared table, one ``Move`` per vertex and one
-per pair, built on first use and extended for a larger graph, and swaps
-are built with ``tuple.__new__``, as ``Move``'s own constructor is a
-Python function.
+they are tried in ascending order without a generator per member.  On a
+graph within ``SOLVER_MAX_ORDER`` every drop move comes from one shared
+table, one ``Move`` per vertex and one per pair, built at import; a
+larger graph gets fresh drops.  Other moves are built with
+``tuple.__new__``, as ``Move``'s own constructor is a Python function.
 
 ``verify_certificate`` stays independent of the predicates: it reads
 neither these masks nor ``closed`` nor ``nbrs``.  It tests S once with
@@ -94,7 +94,12 @@ from itertools import combinations
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .domination import SolverResult, dominating_sets_with_coverage, is_dominating
+from .domination import (
+    SOLVER_MAX_ORDER,
+    SolverResult,
+    dominating_sets_with_coverage,
+    is_dominating,
+)
 from .graph import Graph, VertexSet, bits, check_vertex_set, vertex_list
 
 
@@ -175,29 +180,15 @@ class MovabilityFailure:
         return False
 
 
-# Move's own __new__ is a Python function; the predicates build swaps with tuple's
+# Move's own __new__ is a Python function; the predicates build moves with tuple's
 _new_move = tuple.__new__
 
-# The drop moves, shared by every certificate: drops[v] is Move((v,)) and
-# pair_drops[y][x] is Move((x, y)) for x < y.  The predicates take graphs of
-# any order, so the pair starts empty and is replaced, never mutated, by a
-# longer one for the first graph too large for it.
-_drop_tables: tuple[tuple[Move, ...], tuple[tuple[Move, ...], ...]] = ((), ())
-
-
-def _drop_moves(n: int) -> tuple[tuple[Move, ...], tuple[tuple[Move, ...], ...]]:
-    """The shared drop tables, covering at least vertices 0..n-1."""
-    global _drop_tables
-    tables = _drop_tables
-    if len(tables[0]) < n:
-        drops, pair_drops = tables
-        new = range(len(drops), n)
-        tables = _drop_tables = (
-            drops + tuple(_new_move(Move, ((y,), None)) for y in new),
-            pair_drops
-            + tuple(tuple(_new_move(Move, ((x, y), None)) for x in range(y)) for y in new),
-        )
-    return tables
+# The drop moves of graphs within the solvers' cap, shared by every certificate:
+# _DROPS[v] is Move((v,)) and _PAIR_DROPS[y][x] is Move((x, y)) for x < y.
+_DROPS = tuple(_new_move(Move, ((v,), None)) for v in range(SOLVER_MAX_ORDER))
+_PAIR_DROPS = tuple(
+    tuple(_new_move(Move, ((x, y), None)) for x in range(y)) for y in range(SOLVER_MAX_ORDER)
+)
 
 
 def _coverage(g: Graph, s: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
@@ -232,12 +223,12 @@ def _vertex_moves(
 ) -> MovabilityCertificate | MovabilityFailure:
     """Canonical moves for every member of the dominating set s, whose coverage is once."""
     closed, nbrs = g.closed, g.nbrs
-    drops, _ = _drop_moves(g.n)
+    shared = g.n <= SOLVER_MAX_ORDER  # else the table has no row for some member
     moves = []
     for v in bits(s):
         lost = once & closed[v]
         if not lost:
-            moves.append(drops[v])
+            moves.append(_DROPS[v] if shared else _new_move(Move, ((v,), None)))
             continue
         # a member u covers none of v's private neighbours, so only outside ones pass
         for u in nbrs[v]:
@@ -275,13 +266,13 @@ def _pair_moves(
 ) -> MovabilityCertificate | MovabilityFailure:
     """Canonical moves for ``pairs`` of the dominating set s, whose coverage is once and twice."""
     closed, nbrs = g.closed, g.nbrs
-    _, pair_drops = _drop_moves(g.n)
+    shared = g.n <= SOLVER_MAX_ORDER  # else the table has no row for some member
     moves = []
     for x, y in pairs:
         nx, ny = closed[x], closed[y]
         lost = once & (nx | ny) | twice & nx & ny
         if not lost:
-            moves.append(pair_drops[y][x])
+            moves.append(_PAIR_DROPS[y][x] if shared else _new_move(Move, ((x, y), None)))
             continue
         # the first (u, v) outside s whose closed neighbourhoods cover what the pair loses
         for u in nbrs[x]:
@@ -388,7 +379,9 @@ def verify_certificate(
     replacement inside s or outside 0..n-1 (a float one too, as the range
     check comes before any shift), a replacement not adjacent to its own
     member, coinciding replacements in DISTINCT mode, or a swap that breaks
-    domination.  The moves are checked in canonical order.  s is tested
+    domination.  The moves are checked in canonical order, and the first
+    move that fails a check decides: a float member raises only if no move
+    before it, in that order, has already returned False.  s is tested
     once with plain is_dominating, and each move from unions of N[m] =
     adj[m] | 1 << m over the members before, between and after its own (the
     module docstring): O(1) per move, never the solver's predicates nor the

@@ -36,7 +36,7 @@ from movdom import (
     vertex_list,
     verify_certificate,
 )
-from movdom.domination import greedy_repair
+from movdom.domination import SOLVER_MAX_ORDER, greedy_repair
 from movdom.graph import enumerate_connected_graphs
 from strategies import (
     graphs,
@@ -724,6 +724,20 @@ class TestVerifyCertificate:
         with pytest.raises(MalformedCertificateError, match="wrong type"):
             verify_certificate(path(4), mask_of(1, 2), cert)
 
+    @pytest.mark.parametrize(
+        "replacement, outcome",
+        [((2,), False), ((0,), MalformedCertificateError)],
+        ids=["earlier-move-fails", "earlier-move-holds"],
+    )
+    def test_first_failing_move_in_canonical_order_decides(self, replacement, outcome):
+        # given after it, the move of member 1 is still checked before that of the float 2.0
+        cert = MovabilityCertificate(1, (Move((2.0,), None), Move((1,), replacement)))
+        if outcome is False:
+            assert verify_certificate(path(4), mask_of(1, 2), cert) is False
+        else:
+            with pytest.raises(outcome, match="wrong type"):
+                verify_certificate(path(4), mask_of(1, 2), cert)
+
     def test_float_replacement_judged_by_value(self):
         # the range check runs before any shift, so only an in-range float reaches one
         def with_replacement(u):
@@ -941,8 +955,8 @@ class TestExactCertificates:
 
     @pytest.mark.parametrize("level, mode", [(1, LITERAL), (2, LITERAL), (2, DISTINCT)])
     def test_matches_naive_above_the_solver_cap(self, level, mode):
-        # the predicates take any order, so on corona(C6, P4), 30 vertices, the drop
-        # moves they share must reach vertex 29
+        # the predicates take any order, unlike the solvers: on corona(C6, P4), 30
+        # vertices, past the shared drop table, they must still match the naive oracle
         g = corona(cycle(6), path(4))[0]
         copies = mask_of(*range(6, 30))
         certified = 0
@@ -958,6 +972,18 @@ class TestExactCertificates:
                 assert verify_certificate(g, s, cert, mode)
                 certified += 1
         assert certified == {1: 3, 2: 2 if mode is LITERAL else 0}[level]
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_small_set_on_a_large_graph_leaves_the_drop_table_bounded(self, level):
+        # three members of K300: the drops are fresh, and the shared table, sized by
+        # the solvers' cap and not by g.n, keeps its size at any order
+        g, s = complete(300), mask_of(297, 298, 299)
+        cert = _check(g, s, level, LITERAL)
+        members = [(v,) for v in vertex_list(s)] if level == 1 else list(combinations(vertex_list(s), 2))
+        assert cert.moves == tuple(Move(m, None) for m in members)
+        assert verify_certificate(g, s, cert)
+        tables = movdom.movable._DROPS, movdom.movable._PAIR_DROPS
+        assert [len(table) for table in tables] == [SOLVER_MAX_ORDER, SOLVER_MAX_ORDER]
 
     @staticmethod
     def _assert_matches_brute_force(level, mode, case, repair):
