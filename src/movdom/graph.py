@@ -34,14 +34,42 @@ def mask_of(*vertices: int) -> VertexSet:
     return mask
 
 
-def bits(mask: VertexSet) -> Iterator[int]:
-    """Iterate the set bits of a mask in ascending index order; ValueError if it is negative."""
+def _byte_bits(base: int) -> list[tuple[int, ...]]:
+    """table[x]: the ascending tuple of base + i over the set bits i of the byte x."""
+    table = [()]
+    for i in range(base, base + 8):
+        table += [t + (i,) for t in table]
+    return table
+
+
+# the members of bits 0-7, 8-15 and 16-23 of a mask, one byte table each
+_BYTE_BITS = tuple(_byte_bits(base) for base in (0, 8, 16))
+
+
+def bits(mask: VertexSet) -> tuple[int, ...]:
+    """The set bits of a mask as an ascending tuple; ValueError if it is negative.
+
+    Bits 0-23, every member of a set on a graph within the solvers' cap,
+    come from three 256-entry byte tables.  Higher bits are read a byte at
+    a time from the lowest member left, so a large sparse mask costs one
+    table lookup per member at most.
+    """
     if mask < 0:
         raise ValueError(f"vertex set {mask} is negative")
+    low, mid, high = _BYTE_BITS
+    found = low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16 & 255]
+    mask >>= 24
+    if not mask:
+        return found
+    found, base = list(found), 24
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        zeros = (mask & -mask).bit_length() - 1  # below the lowest member left
+        mask >>= zeros
+        base += zeros
+        found += [base + i for i in low[mask & 255]]
+        mask >>= 8
+        base += 8
+    return tuple(found)
 
 
 def vertex_list(mask: VertexSet) -> list[int]:
@@ -84,7 +112,7 @@ class Graph:
                 raise ValueError(f"vertex {v} has a neighbor index out of range")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            row = tuple(bits(mask))
+            row = bits(mask)
             for u in row:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")

@@ -77,12 +77,16 @@ certificate stays the same.  On all 27,470 labeled connected graphs of
 order 4-6 a LITERAL witness exists, and the 1,875 with no DISTINCT
 witness are exactly the 1,875 with a strong support.
 
-Whether a pair {x, y} moves depends only on S within N[N[x] | N[y]], so
-the pair that blocked one set often blocks the next (the "last conflict"
-heuristic of Lecoutre, Sais, Tabary and Vidal, *Artificial Intelligence*
-173, 2009).  The scan first tests a set on the blocking pairs of its last
-four failed tests, and rejects it if one of them is immovable: it would
-fail the full test anyway.  Every other set gets the full canonical test,
+Whether a member v moves depends only on S within N[N[v]], and a pair
+{x, y} only on S within N[N[x] | N[y]], so the member or pair that
+blocked one set often blocks the next (the "last conflict" heuristic of
+Lecoutre, Sais, Tabary and Vidal, *Artificial Intelligence* 173, 2009).
+Both scans first test a set on the blocking members (``gamma_m1``) or
+pairs (``gamma_m2``) of their last four failed tests, and reject it if
+one of them is immovable: it would fail the full test anyway.  The
+pre-test reads the coverage masks and runs the same swap search as the
+full test, ``_vertex_swap`` or ``_pair_swap``, so a rejected set builds
+no list, move or failure.  Every other set gets the full canonical test,
 so every witness and certificate stays the same.
 """
 
@@ -100,7 +104,7 @@ from .domination import (
     dominating_sets_with_coverage,
     is_dominating,
 )
-from .graph import Graph, VertexSet, bits, check_vertex_set, vertex_list
+from .graph import Graph, VertexSet, bits, check_vertex_set
 
 
 class ReplacementMode(Enum):
@@ -114,7 +118,7 @@ _MODES = tuple(ReplacementMode)
 
 _members_of = attrgetter("members")
 
-_RECENT_PAIRS = 4  # how many blocking pairs the gamma_m2 scan remembers (module docstring)
+_RECENT_PAIRS = 4  # how many blocking members or pairs a scan remembers (module docstring)
 
 
 def _check_mode(mode: ReplacementMode) -> None:
@@ -218,6 +222,18 @@ def is_1movable_dominating(g: Graph, s: VertexSet) -> MovabilityCertificate | Mo
     return _vertex_moves(g, s, once)
 
 
+def _vertex_swap(closed, nbrs, lost: VertexSet, v: int) -> int | None:
+    """The first neighbour of v whose closed neighbourhood covers ``lost``, or None.
+
+    ``lost`` is v's private neighbours: a member covers none of them, so
+    only an outside neighbour can pass.
+    """
+    for u in nbrs[v]:
+        if not lost & ~closed[u]:
+            return u
+    return None
+
+
 def _vertex_moves(
     g: Graph, s: VertexSet, once: VertexSet
 ) -> MovabilityCertificate | MovabilityFailure:
@@ -230,14 +246,31 @@ def _vertex_moves(
         if not lost:
             moves.append(_DROPS[v] if shared else _new_move(Move, ((v,), None)))
             continue
-        # a member u covers none of v's private neighbours, so only outside ones pass
-        for u in nbrs[v]:
-            if not lost & ~closed[u]:
-                moves.append(_new_move(Move, ((v,), (u,))))
-                break
-        else:
+        u = _vertex_swap(closed, nbrs, lost, v)
+        if u is None:
             return MovabilityFailure("immovable-vertex", v)
+        moves.append(_new_move(Move, ((v,), (u,))))
     return MovabilityCertificate(1, tuple(moves))
+
+
+def _vertex_scan_test(
+    g: Graph, s: VertexSet, once: VertexSet, recent: list
+) -> MovabilityCertificate | MovabilityFailure | None:
+    """The full test of s, or None if a ``recent`` member of s is immovable; new ones go in front.
+
+    A rejected set builds no list, move or failure.
+    """
+    closed, nbrs = g.closed, g.nbrs
+    for v in recent:
+        if s >> v & 1:
+            lost = once & closed[v]
+            if lost and _vertex_swap(closed, nbrs, lost, v) is None:
+                return None
+    cert = _vertex_moves(g, s, once)
+    if not cert:
+        recent.insert(0, cert.detail)
+        del recent[_RECENT_PAIRS:]
+    return cert
 
 
 def is_2movable_dominating(
@@ -257,49 +290,60 @@ def is_2movable_dominating(
         return MovabilityFailure("not-dominating")
     if s.bit_count() < 2:
         return MovabilityFailure("singleton")
-    pairs = combinations(vertex_list(s), 2)
-    return _pair_moves(g, s, once, twice, mode is ReplacementMode.DISTINCT, pairs)
+    return _pair_moves(g, s, once, twice, mode is ReplacementMode.DISTINCT)
+
+
+def _pair_swap(
+    closed, nbrs, s: VertexSet, lost: VertexSet, distinct: bool, x: int, y: int
+) -> tuple[int, int] | None:
+    """The first (u, v) outside s, u a neighbour of x and v of y, whose closed
+    neighbourhoods cover ``lost``, in ascending order; None if there is none."""
+    for u in nbrs[x]:
+        if s >> u & 1:
+            continue
+        left = lost & ~closed[u]
+        for v in nbrs[y]:
+            if not left & ~closed[v] and not s >> v & 1 and not (distinct and u == v):
+                return u, v
+    return None
 
 
 def _pair_moves(
-    g: Graph, s: VertexSet, once: VertexSet, twice: VertexSet, distinct: bool, pairs
+    g: Graph, s: VertexSet, once: VertexSet, twice: VertexSet, distinct: bool
 ) -> MovabilityCertificate | MovabilityFailure:
-    """Canonical moves for ``pairs`` of the dominating set s, whose coverage is once and twice."""
+    """Canonical moves for every pair of the dominating set s, whose coverage is once and twice."""
     closed, nbrs = g.closed, g.nbrs
     shared = g.n <= SOLVER_MAX_ORDER  # else the table has no row for some member
     moves = []
-    for x, y in pairs:
+    for x, y in combinations(bits(s), 2):
         nx, ny = closed[x], closed[y]
         lost = once & (nx | ny) | twice & nx & ny
         if not lost:
             moves.append(_PAIR_DROPS[y][x] if shared else _new_move(Move, ((x, y), None)))
             continue
-        # the first (u, v) outside s whose closed neighbourhoods cover what the pair loses
-        for u in nbrs[x]:
-            if s >> u & 1:
-                continue
-            left = lost & ~closed[u]
-            for v in nbrs[y]:
-                if not left & ~closed[v] and not s >> v & 1 and not (distinct and u == v):
-                    break
-            else:
-                continue
-            moves.append(_new_move(Move, ((x, y), (u, v))))
-            break
-        else:
+        swap = _pair_swap(closed, nbrs, s, lost, distinct, x, y)
+        if swap is None:
             return MovabilityFailure("immovable-pair", (x, y))
+        moves.append(_new_move(Move, ((x, y), swap)))
     return MovabilityCertificate(2, tuple(moves))
 
 
 def _scan_test(
     g: Graph, s: VertexSet, once: VertexSet, twice: VertexSet, mode: ReplacementMode, recent: list
 ) -> MovabilityCertificate | MovabilityFailure | None:
-    """The full test of s, or None if a ``recent`` pair in s is immovable; new ones go in front."""
+    """The full test of s, or None if a ``recent`` pair in s is immovable; new ones go in front.
+
+    A rejected set builds no list, move or failure.
+    """
     distinct = mode is ReplacementMode.DISTINCT
-    held = [(x, y) for x, y in recent if s >> x & 1 and s >> y & 1]
-    if held and not _pair_moves(g, s, once, twice, distinct, held):
-        return None
-    cert = _pair_moves(g, s, once, twice, distinct, combinations(vertex_list(s), 2))
+    closed, nbrs = g.closed, g.nbrs
+    for x, y in recent:
+        if s >> x & 1 and s >> y & 1:
+            nx, ny = closed[x], closed[y]
+            lost = once & (nx | ny) | twice & nx & ny
+            if lost and _pair_swap(closed, nbrs, s, lost, distinct, x, y) is None:
+                return None
+    cert = _pair_moves(g, s, once, twice, distinct)
     if not cert:
         recent.insert(0, cert.detail)
         del recent[_RECENT_PAIRS:]
@@ -311,10 +355,12 @@ def gamma_m1(g: Graph) -> SolverResult:
 
     The witness is the first 1-movable set of ``dominating_sets``, as
     ``gamma``'s is the first set.  Each set is tested on the coverage
-    masks the generator carries, with no ban.
+    masks the generator carries, with no ban, and first on the members
+    that blocked recent sets (module docstring).
     """
+    recent = []  # the blocking members of the last failed full tests, newest first
     for mask, once, _ in dominating_sets_with_coverage(g, (0,) * g.n, 1):
-        cert = _vertex_moves(g, mask, once)
+        cert = _vertex_scan_test(g, mask, once, recent)
         if cert:
             return SolverResult(mask, certificate=cert)
     return SolverResult(None)
@@ -400,7 +446,7 @@ def verify_certificate(
             replacement = m.replacement
             if len(m.members) != level or not (replacement is None or len(replacement) == level):
                 raise MalformedCertificateError("move shape does not match the certificate level")
-        members = vertex_list(s)
+        members = bits(s)
         moves = sorted(cert.moves, key=_members_of)  # canonical order, as the predicates emit
         if list(map(_members_of, moves)) != list(combinations(members, level)):
             raise MalformedCertificateError(

@@ -5,21 +5,25 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import naive
 from movdom import graph
 from movdom import (
     Graph,
+    ReplacementMode,
     bits,
     closed_neighborhood,
     complete,
     complete_bipartite,
+    corona,
     cycle,
     enumerate_connected_classes,
     format_edge_list,
     from_edge_list,
+    is_1movable_dominating,
+    is_2movable_dominating,
     is_connected,
     is_dominating,
     make_family,
@@ -29,6 +33,7 @@ from movdom import (
     star,
     vertex_list,
 )
+from movdom.domination import greedy_repair
 from movdom.graph import enumerate_connected_graphs, read_edge_list
 from strategies import graphs, graphs_with_subset
 
@@ -451,14 +456,56 @@ class TestMaskHelpers:
             mask_of(-1)
 
     def test_negative_mask_rejected(self):
-        # the first draw already raises, so a loop that never ends cannot start
+        # the call itself raises, so a loop that never ends cannot start
         with pytest.raises(ValueError, match="negative"):
-            next(bits(-5))
+            bits(-5)
         with pytest.raises(ValueError, match="negative"):
             vertex_list(-1)
-        with pytest.raises(ValueError, match="negative"):
-            list(bits(-5))
 
     @given(st.integers(0, (1 << 12) - 1))
     def test_bits_round_trip(self, mask):
         assert mask_of(*bits(mask)) == mask
+
+    @given(st.integers(0, (1 << 40) - 1))
+    @example((1 << 24) - 1)
+    @example(1 << 24)
+    @example((1 << 24) + 1)
+    @example(random.Random(3).getrandbits(600))
+    @example(1 << 599 | 1 << 300 | 1 << 31)
+    def test_bits_matches_a_shift_loop(self, mask):
+        # the byte tables end at bit 23; the byte loop reads the rest, skipping zeros
+        expected, v, rest = [], 0, mask
+        while rest:
+            if rest & 1:
+                expected.append(v)
+            rest >>= 1
+            v += 1
+        found = bits(mask)
+        assert isinstance(found, tuple)
+        assert list(found) == expected
+
+    @pytest.mark.parametrize(
+        "level, mode, certified",
+        [(1, None, 16), (2, ReplacementMode.LITERAL, 3), (2, ReplacementMode.DISTINCT, 0)],
+    )
+    def test_predicates_above_the_byte_tables(self, level, mode, certified):
+        # corona(C6, P4) has 30 vertices, past the byte tables and the shared drop table:
+        # a certificate must pass the per-move oracle, and a failure must be naive's too
+        g = corona(cycle(6), path(4))[0]
+        view, rng = naive.AdjacencyView(g.n, g.edges()), random.Random(11)
+        distinct = mode is ReplacementMode.DISTINCT
+        sets = [mask_of(*range(6, 30))] + [greedy_repair(g, rng.getrandbits(30)) for _ in range(20)]
+        found = 0
+        for s in sets:
+            members = vertex_list(s)
+            if level == 1:
+                cert, movable = is_1movable_dominating(g, s), naive.one_movable(view, set(members))
+            else:
+                cert = is_2movable_dominating(g, s, mode)
+                movable = naive.two_movable(view, set(members), distinct)
+            assert bool(cert) == movable
+            if cert:
+                moves = [(m.members, m.replacement) for m in cert.moves]
+                assert naive.certificate_holds(view, members, level, moves, distinct)
+                found += 1
+        assert found == certified

@@ -406,7 +406,7 @@ class TestJointScan:
 
 
 class TestRecentBlockingPairs:
-    """The scan rejects a set by its recent blocking pairs before the full pair test."""
+    """Each scan rejects a set by its recent blocking members or pairs before the full test."""
 
     def test_recent_pairs_tested_in_the_mode_asked_for(self):
         # on star(5), {1, 2} moves only to (0, 0): LITERAL gets the full test, DISTINCT does not
@@ -433,6 +433,52 @@ class TestRecentBlockingPairs:
         found, tests = _scan_tests(gamma_m2, g, LITERAL)
         assert found == _loop_gamma_m2(g, LITERAL)
         assert sum(outcome is not None for _, _, outcome in tests) == full
+
+    @pytest.mark.parametrize(
+        "g, full, sets", [(cycle(19), 23, 224), (path(18), 13, 405)], ids=["C19", "P18"]
+    )
+    def test_gamma_m1_full_test_count(self, g, full, sets):
+        # gamma_m1 rejects most sets on the members that blocked recent ones
+        outcomes, per_set = [], movdom.movable._vertex_scan_test
+
+        def recording(g, s, once, recent):
+            outcomes.append(per_set(g, s, once, recent))
+            return outcomes[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(movdom.movable, "_vertex_scan_test", recording)
+            found = gamma_m1(g)
+        assert found == _loop_gamma_m1(g)
+        assert len(outcomes) == sets
+        assert sum(outcome is not None for outcome in outcomes) == full
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_subset(4, 10), st.data())
+    def test_a_rejected_set_fails_the_predicate(self, case, data):
+        # any recent members or pairs, held in s or not: a pre-test rejects s exactly
+        # when one held in s has no working move (brute force), so the public predicate
+        # fails it too, and otherwise returns that predicate's outcome
+        g, seed = case
+        s = greedy_repair(g, seed & data.draw(st.integers(0, g.full_mask)))  # near-minimal
+        _, once, twice = movdom.movable._coverage(g, s)
+        recent = data.draw(st.lists(st.integers(0, g.n - 1), max_size=4))
+        blocked = {group for group, found in _first_moves(g, s, 1, False) if found is None}
+        rejected = any((v,) in blocked for v in recent)  # before the scan adds its own
+        outcome = movdom.movable._vertex_scan_test(g, s, once, recent)
+        assert (outcome is None) == rejected
+        public = is_1movable_dominating(g, s)
+        assert not public if outcome is None else outcome == public
+        if s.bit_count() < 2:
+            return  # the gamma_m2 scan never tests a singleton
+        pairs = st.sampled_from(list(combinations(range(g.n), 2)))
+        for mode in (LITERAL, DISTINCT):
+            recent = data.draw(st.lists(pairs, max_size=4))
+            blocked = {group for group, found in _first_moves(g, s, 2, mode is DISTINCT) if found is None}
+            rejected = any(pair in blocked for pair in recent)
+            outcome = movdom.movable._scan_test(g, s, once, twice, mode, recent)
+            assert (outcome is None) == rejected
+            public = is_2movable_dominating(g, s, mode)
+            assert not public if outcome is None else outcome == public
 
 
 def _leaf_pairs(g):
